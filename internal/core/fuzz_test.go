@@ -96,6 +96,20 @@ class A { static void main() {
 					mr.Method.QualifiedName(), mr.Degraded, opts, src)
 			}
 		}
+		// The analysis is deterministic: a second run over a fresh compile
+		// of the same program takes exactly as many block visits.
+		againProg, err := codegen.Compile(checked)
+		if err != nil {
+			t.Fatalf("recompile: %v", err)
+		}
+		again, err := core.AnalyzeProgram(againProg, opts)
+		if err != nil {
+			t.Fatalf("second analysis error: %v", err)
+		}
+		if rep.BlockVisits() != again.BlockVisits() {
+			t.Fatalf("block visits differ between two analyses: %d vs %d\noptions: %+v\nsource:\n%s",
+				rep.BlockVisits(), again.BlockVisits(), opts, src)
+		}
 		// Summaries are a pure precision layer: with no starvation budgets
 		// in play, every store site the intraprocedural analysis elides
 		// must still be elided with summaries on. (Budgets break the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -458,63 +459,109 @@ func mergeStates(cur, incoming *state, namer *intval.Namer, noStride bool) (*sta
 		changed = true
 	}
 
+	// The stride context names fresh variables in the order merges
+	// consult it, so entries whose merge consults it (unequal integers)
+	// merge in key order, after the rest of their map: map order would
+	// make the names, and with them the fixed point's visit count,
+	// differ from run to run.
+	//
 	// σ: union of keys; an absent entry denotes the allocation default
 	// (null / 0), which is what lookup assumes.
-	for k, v := range cur.sigma {
-		if w, ok := incoming.sigma[k]; ok {
-			m := mergeValue(v, w, ctx)
-			out.sigma[k] = m
-			if !m.Equal(v) {
-				changed = true
-			}
-		} else {
-			m := mergeValue(v, defaultFor(v), ctx)
-			out.sigma[k] = m
-			if !m.Equal(v) {
-				changed = true
-			}
+	var strided []sigKey
+	sig := func(k sigKey, a, b Value) {
+		if a.kind == vInt && b.kind == vInt && !a.iv.Equal(b.iv) {
+			strided = append(strided, k)
+			return
+		}
+		m := mergeValue(a, b, ctx)
+		out.sigma[k] = m
+		// a is what cur held for k, explicitly or as the default.
+		if !m.Equal(a) {
+			changed = true
 		}
 	}
-	for k, w := range incoming.sigma {
-		if _, ok := cur.sigma[k]; ok {
-			continue
+	for k, a := range cur.sigma {
+		b, ok := incoming.sigma[k]
+		if !ok {
+			b = defaultFor(a)
 		}
-		m := mergeValue(defaultFor(w), w, ctx)
+		sig(k, a, b)
+	}
+	for k, b := range incoming.sigma {
+		if _, ok := cur.sigma[k]; !ok {
+			sig(k, defaultFor(b), b)
+		}
+	}
+	slices.SortFunc(strided, func(x, y sigKey) int {
+		if srcKeyLess(srcKey(x), srcKey(y)) {
+			return -1
+		}
+		return 1 // keys are distinct
+	})
+	for _, k := range strided {
+		a, inCur := cur.sigma[k]
+		b, inIncoming := incoming.sigma[k]
+		if !inCur {
+			a = defaultFor(b)
+		} else if !inIncoming {
+			b = defaultFor(a)
+		}
+		m := mergeValue(a, b, ctx)
 		out.sigma[k] = m
-		// cur lacked the entry, i.e. implicitly held the default; the
-		// entry changes cur only if it differs from that default.
-		if !m.Equal(defaultFor(w)) {
+		if !m.Equal(a) {
 			changed = true
 		}
 	}
 
 	// Len and NR: intersection of keys (an absent entry is "no
 	// information", which absorbs).
+	var refs []RefID
+	mergeLen := func(r RefID) {
+		l := cur.length[r]
+		m := intval.Merge(l, incoming.length[r], ctx)
+		if !m.IsTop() {
+			out.length[r] = m
+		}
+		if !m.Equal(l) {
+			changed = true
+		}
+	}
 	for r, l := range cur.length {
-		if l2, ok := incoming.length[r]; ok {
-			m := intval.Merge(l, l2, ctx)
-			if !m.IsTop() {
-				out.length[r] = m
-			}
-			if !m.Equal(l) {
-				changed = true
-			}
+		if l2, ok := incoming.length[r]; !ok {
+			changed = true
+		} else if l.Equal(l2) {
+			mergeLen(r)
 		} else {
+			refs = append(refs, r)
+		}
+	}
+	slices.Sort(refs)
+	for _, r := range refs {
+		mergeLen(r)
+	}
+	refs = refs[:0]
+	mergeNR := func(r RefID) {
+		rng := cur.nr[r]
+		m := intval.MergeRanges(rng, incoming.nr[r], ctx)
+		if !m.IsEmpty() {
+			out.nr[r] = m
+		}
+		if !m.Equal(rng) {
 			changed = true
 		}
 	}
 	for r, rng := range cur.nr {
-		if rng2, ok := incoming.nr[r]; ok {
-			m := intval.MergeRanges(rng, rng2, ctx)
-			if !m.IsEmpty() {
-				out.nr[r] = m
-			}
-			if !m.Equal(rng) {
-				changed = true
-			}
-		} else {
+		if rng2, ok := incoming.nr[r]; !ok {
 			changed = true
+		} else if rng.Equal(rng2) {
+			mergeNR(r)
+		} else {
+			refs = append(refs, r)
 		}
+	}
+	slices.Sort(refs)
+	for _, r := range refs {
+		mergeNR(r)
 	}
 	return out, changed
 }

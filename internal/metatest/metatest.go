@@ -28,6 +28,11 @@ import (
 // terminate far below this.
 const maxSteps = 20_000_000
 
+// tierThreshold is the compiled engine's hot threshold in property runs:
+// generated programs are small, so a low threshold is what makes them
+// actually run compiled code.
+const tierThreshold = 2
+
 // Violation is a property failure on a *compiling* program — the only
 // error kind the shrinker and campaign treat as a counterexample.
 // Compile errors stay plain errors so that shrinking never wanders into
@@ -116,7 +121,7 @@ func oracleConfig() vm.Config {
 	}
 }
 
-// checkEngineInvariance: the fused and switch engines must be
+// checkEngineInvariance: the switch, fused and compiled engines must be
 // bit-identical — output, step count, barrier counters, and cost model.
 func checkEngineInvariance(src string, analysis core.Options) error {
 	b, err := compile(src, 100, analysis)
@@ -124,27 +129,31 @@ func checkEngineInvariance(src string, analysis core.Options) error {
 		return err
 	}
 	var results []*vm.Result
-	for _, engine := range []vm.Engine{vm.EngineFused, vm.EngineSwitch} {
+	engines := []vm.Engine{vm.EngineFused, vm.EngineSwitch, vm.EngineCompiled}
+	for _, engine := range engines {
 		res, err := b.Run(vm.Config{
-			Engine:   engine,
-			Barrier:  satb.ModeConditional,
-			MaxSteps: maxSteps,
+			Engine:        engine,
+			Barrier:       satb.ModeConditional,
+			MaxSteps:      maxSteps,
+			TierThreshold: tierThreshold,
 		})
 		if err != nil {
 			return &Violation{Prop: "engine-invariance", Msg: fmt.Sprintf("engine %v: %v", engine, err)}
 		}
 		results = append(results, res)
 	}
-	f, s := results[0], results[1]
-	if !reflect.DeepEqual(f.Output, s.Output) {
-		return &Violation{Prop: "engine-invariance",
-			Msg: fmt.Sprintf("output differs: fused %v vs switch %v", f.Output, s.Output)}
-	}
-	if f.Steps != s.Steps || f.Counters.Logged != s.Counters.Logged ||
-		f.Counters.Cost != s.Counters.Cost || f.TotalCost() != s.TotalCost() {
-		return &Violation{Prop: "engine-invariance",
-			Msg: fmt.Sprintf("accounting differs: steps %d/%d logged %d/%d cost %d/%d",
-				f.Steps, s.Steps, f.Counters.Logged, s.Counters.Logged, f.TotalCost(), s.TotalCost())}
+	f := results[0]
+	for i, s := range results[1:] {
+		if !reflect.DeepEqual(f.Output, s.Output) {
+			return &Violation{Prop: "engine-invariance",
+				Msg: fmt.Sprintf("output differs: fused %v vs %v %v", f.Output, engines[i+1], s.Output)}
+		}
+		if f.Steps != s.Steps || f.Counters.Logged != s.Counters.Logged ||
+			f.Counters.Cost != s.Counters.Cost || f.TotalCost() != s.TotalCost() {
+			return &Violation{Prop: "engine-invariance",
+				Msg: fmt.Sprintf("accounting differs (fused/%v): steps %d/%d logged %d/%d cost %d/%d", engines[i+1],
+					f.Steps, s.Steps, f.Counters.Logged, s.Counters.Logged, f.TotalCost(), s.TotalCost())}
+		}
 	}
 	return nil
 }
@@ -306,7 +315,8 @@ func totals(b *pipeline.Build) elisionTotals {
 // summaries unlock must survive the runtime oracle. An unsound summary
 // (e.g. the UnsoundTrustAllSummaries self-test knob) shows up either as
 // an oracle violation on the summaries-on build or as an execution
-// divergence.
+// divergence. The runs use the compiled engine, so the oracle also
+// checks the elided stores of compiled code.
 func checkSummarySoundness(src string, analysis core.Options) error {
 	on := analysis
 	on.Interprocedural = true
@@ -338,6 +348,8 @@ func checkSummarySoundness(src string, analysis core.Options) error {
 			CheckInvariant:     true,
 			CheckElisions:      true,
 			MaxSteps:           maxSteps,
+			Engine:             vm.EngineCompiled,
+			TierThreshold:      tierThreshold,
 		}
 		onRes, err := bOn.Run(cfg)
 		if err != nil {
@@ -380,6 +392,8 @@ func checkSummarySoundness(src string, analysis core.Options) error {
 // are deliberately NOT compared: an all-barriers run logs pre-values at
 // sites the elided run proved removable, keeping otherwise-dead objects
 // alive one extra cycle (floating garbage) — a legitimate difference.
+// The runs use the compiled engine, so the oracle also checks the elided
+// stores of compiled code.
 func checkFlavorSoundness(src string, analysis core.Options) error {
 	elided, err := compile(src, 100, analysis)
 	if err != nil {
@@ -410,6 +424,8 @@ func checkFlavorSoundness(src string, analysis core.Options) error {
 			CheckInvariant: true,
 			CheckElisions:  true,
 			MaxSteps:       maxSteps,
+			Engine:         vm.EngineCompiled,
+			TierThreshold:  tierThreshold,
 		}
 		eres, err := elided.Run(cfg)
 		if err != nil {

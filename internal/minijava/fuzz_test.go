@@ -1,19 +1,22 @@
 package minijava_test
 
 import (
+	"errors"
 	"testing"
 
 	"satbelim/internal/codegen"
 	"satbelim/internal/minijava"
 	"satbelim/internal/progen"
 	"satbelim/internal/verifier"
+	"satbelim/internal/vm"
 )
 
 // FuzzParse feeds arbitrary bytes through the frontend. The contract
 // under fuzzing is crash-freedom plus a pipeline invariant: any input
 // that parses and typechecks must also compile to bytecode that passes
-// the verifier — the frontend may reject, but it must never hand the
-// backend an ill-formed program.
+// the verifier, and every program the verifier accepts must decode for
+// the VM — the frontend may reject, but it must never hand the backend
+// an ill-formed program.
 func FuzzParse(f *testing.F) {
 	f.Add("class A { static void main() { print(1); } }")
 	f.Add(`class N { N next; }
@@ -52,6 +55,12 @@ class A { static void main() { W w = new W(); spawn w.work(); } }`)
 		}
 		if err := verifier.VerifyProgram(prog); err != nil {
 			t.Fatalf("checked program failed verification: %v\nsource:\n%s", err, src)
+		}
+		// One instruction is enough: an undecodable program is refused
+		// before the first.
+		var de *vm.DecodeError
+		if _, err := vm.New(prog, vm.Config{MaxSteps: 1}).Run(); errors.As(err, &de) {
+			t.Fatalf("verified program failed to decode: %v\nsource:\n%s", err, src)
 		}
 	})
 }

@@ -43,7 +43,8 @@ var oracleConfigs = []struct {
 }
 
 // Oracle runs every workload under every oracle configuration at the
-// given inline limit with Config.CheckElisions set. A violation is
+// given inline limit with Config.CheckElisions set, on the compiled
+// engine so that compiled elided stores are checked too. A violation is
 // reported in the row rather than returned as an error, so a sweep
 // always yields the full matrix; callers that want hard failure (e.g.
 // satbbench -strict) check Clean() per row.
@@ -60,6 +61,7 @@ func Oracle(inlineLimit int) ([]OracleRow, error) {
 					TriggerEveryAllocs: 256,
 					CheckInvariant:     true,
 					CheckElisions:      true,
+					Engine:             vm.EngineCompiled,
 				},
 			})
 			if err != nil {

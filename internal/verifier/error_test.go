@@ -64,18 +64,15 @@ func TestVerifyRejectsUnderflowAcrossBlocks(t *testing.T) {
 }
 
 // TestVerifyPanicIsolated drives the verifier into an internal fault —
-// OpNewInstance with a nil type pushes a typeless reference that later
-// dereferences nil — and checks the recover guard converts it into an
-// *Error instead of unwinding the caller (e.g. a parallel verify pool).
+// a local slot declared with a nil type, whose load dereferences it —
+// and checks the recover guard converts it into an *Error instead of
+// unwinding the caller (e.g. a parallel verify pool).
 func TestVerifyPanicIsolated(t *testing.T) {
 	p := bytecode.NewProgram()
-	cls := &bytecode.Class{Name: "T", Fields: []*bytecode.Field{
-		{Name: "f", Type: bytecode.ClassType("T")},
-	}}
+	cls := &bytecode.Class{Name: "T"}
 	b := bytecode.NewBuilder("T", "bad", true)
-	b.Emit(bytecode.Instr{Op: bytecode.OpNewInstance}) // Type nil: invalid
-	b.Null()
-	b.PutField(bytecode.FieldRef{Class: "T", Name: "f"})
+	b.Load(b.DeclareSlot(nil)) // slot type nil: invalid
+	b.Op(bytecode.OpPop)
 	b.Return()
 	m := b.Build()
 	cls.Methods = append(cls.Methods, m)
@@ -112,6 +109,73 @@ func TestVerifyErrorsNameTheMethod(t *testing.T) {
 		err := Verify(p, m)
 		if err == nil || !strings.Contains(err.Error(), "T.bad") {
 			t.Errorf("case %d: error %v does not name the method", i, err)
+		}
+	}
+}
+
+// TestVerifyResolvesDeadCodeOperands: the VM decodes whole methods before
+// running any, so every operand the decoder resolves must resolve in
+// unreachable code too — each case plants its bad instruction after the
+// method's return, where the stack simulation never looks.
+func TestVerifyResolvesDeadCodeOperands(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		in   bytecode.Instr
+	}{
+		{"unresolved method Nope.ghost", bytecode.Instr{Op: bytecode.OpInvoke, Method: bytecode.MethodRef{Class: "Nope", Name: "ghost"}}},
+		{"unresolved method T.ghost", bytecode.Instr{Op: bytecode.OpSpawn, Method: bytecode.MethodRef{Class: "T", Name: "ghost"}}},
+		{"unresolved field T.ghost", bytecode.Instr{Op: bytecode.OpPutField, Field: bytecode.FieldRef{Class: "T", Name: "ghost"}}},
+		{"getstatic of T.f: static mismatch", bytecode.Instr{Op: bytecode.OpGetStatic, Field: bytecode.FieldRef{Class: "T", Name: "f"}}},
+		{"getfield of T.s: static mismatch", bytecode.Instr{Op: bytecode.OpGetField, Field: bytecode.FieldRef{Class: "T", Name: "s"}}},
+		{"newinstance of unknown class Nope", bytecode.Instr{Op: bytecode.OpNewInstance, Type: bytecode.ClassType("Nope")}},
+		{"newinstance of unknown class", bytecode.Instr{Op: bytecode.OpNewInstance}},
+		{"newarray missing element type", bytecode.Instr{Op: bytecode.OpNewArray}},
+		{"store of undeclared slot 9", bytecode.Instr{Op: bytecode.OpStore, A: 9}},
+		{"unknown opcode", bytecode.Instr{Op: bytecode.OpTrap + 1}},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			expectReject(t, "pc 1: "+tc.want, func(b *bytecode.Builder) {
+				b.Return()
+				b.Emit(tc.in)
+				b.Return()
+			})
+		})
+	}
+}
+
+// TestVerifyProgramChecksMain: a program that names an entry point must
+// name a static method with no parameters; a program that names none
+// (a library) verifies.
+func TestVerifyProgramChecksMain(t *testing.T) {
+	build := func(main string, static bool) *bytecode.Program {
+		p := bytecode.NewProgram()
+		cls := &bytecode.Class{Name: "T"}
+		b := bytecode.NewBuilder("T", "run", static)
+		b.Return()
+		cls.Methods = append(cls.Methods, b.Build())
+		p.AddClass(cls)
+		if main != "" {
+			p.Main = bytecode.MethodRef{Class: "T", Name: main}
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		main   string
+		static bool
+		ok     bool
+	}{
+		{"run", true, true},
+		{"", true, true},
+		{"missing", true, false},
+		{"run", false, false},
+	} {
+		err := VerifyProgram(build(tc.main, tc.static))
+		if (err == nil) != tc.ok {
+			t.Errorf("main %q static=%v: err = %v, want ok=%v", tc.main, tc.static, err, tc.ok)
+		}
+		var ve *Error
+		if err != nil && (!errors.As(err, &ve) || !strings.Contains(ve.Msg, "main must resolve")) {
+			t.Errorf("main %q: err = %v, want a main diagnostic", tc.main, err)
 		}
 	}
 }

@@ -143,6 +143,9 @@ func Verify(p *bytecode.Program, m *bytecode.Method) (err error) {
 		entry: make([][]vtype, len(g.Blocks)),
 		seen:  make([]bool, len(g.Blocks)),
 	}
+	if err := v.checkOperands(); err != nil {
+		return err
+	}
 	v.seen[0] = true
 
 	work := []int{0}
@@ -171,11 +174,63 @@ func Verify(p *bytecode.Program, m *bytecode.Method) (err error) {
 	return nil
 }
 
-// VerifyProgram verifies every method.
+// VerifyProgram verifies every method, and the entry point when the
+// program names one: it must resolve to a static method with no
+// parameters.
 func VerifyProgram(p *bytecode.Program) error {
+	if p.Main != (bytecode.MethodRef{}) {
+		if mm := p.Method(p.Main); mm == nil || !mm.Static || len(mm.Params) != 0 {
+			return &Error{Method: p.Main.String(), PC: -1, Msg: "main must resolve to a static method with no parameters"}
+		}
+	}
 	for _, m := range p.Methods() {
 		if err := Verify(p, m); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkOperands resolves the operands of every instruction, reachable or
+// not, against the program: the VM decodes whole methods before running
+// any of them, so an operand that only dead code names must resolve too.
+// Field accesses must name a declared field of the matching kind
+// (instance or static), allocations a declared class or an element type,
+// calls a declared method.
+func (v *verifier) checkOperands() error {
+	for pc := range v.m.Code {
+		in := &v.m.Code[pc]
+		switch in.Op {
+		case bytecode.OpLoad, bytecode.OpStore:
+			if in.A < 0 || in.A >= int64(len(v.m.SlotTypes)) {
+				return v.errf(pc, "%s of undeclared slot %d", in.Op, in.A)
+			}
+		case bytecode.OpGetField, bytecode.OpPutField, bytecode.OpGetStatic, bytecode.OpPutStatic:
+			var f *bytecode.Field
+			if c := v.p.Class(in.Field.Class); c != nil {
+				f = c.Field(in.Field.Name)
+			}
+			if f == nil {
+				return v.errf(pc, "unresolved field %s", in.Field)
+			}
+			if static := in.Op == bytecode.OpGetStatic || in.Op == bytecode.OpPutStatic; f.Static != static {
+				return v.errf(pc, "%s of %s: static mismatch", in.Op, in.Field)
+			}
+		case bytecode.OpNewInstance:
+			if in.Type == nil || in.Type.Kind != bytecode.KindClass || v.p.Class(in.Type.Class) == nil {
+				return v.errf(pc, "newinstance of unknown class %v", in.Type)
+			}
+		case bytecode.OpNewArray:
+			if in.Type == nil {
+				return v.errf(pc, "newarray missing element type")
+			}
+		case bytecode.OpInvoke, bytecode.OpSpawn:
+			if v.p.Method(in.Method) == nil {
+				return v.errf(pc, "unresolved method %s", in.Method)
+			}
+		}
+		if in.Op < bytecode.OpNop || in.Op > bytecode.OpTrap {
+			return v.errf(pc, "unknown opcode %v", in.Op)
 		}
 	}
 	return nil

@@ -130,12 +130,6 @@ type fieldRec struct {
 	isRef bool
 }
 
-// staticRec is a resolved static-field operand.
-type staticRec struct {
-	ref   bytecode.FieldRef
-	isRef bool
-}
-
 // allocRec is a resolved allocation site.
 type allocRec struct {
 	class   string
@@ -149,13 +143,18 @@ type calleeRec struct {
 	ref string
 }
 
-// siteRec is a barriered store site with its decode-time elision verdict.
+// siteRec is a barriered store site with its decode-time elision verdict,
+// the unit VM.storeBarrier works on for every engine. raw marks a site
+// whose barrier reduces to its instrumentation counters (an elided
+// pre-null or null-or-same verdict, or a flavor that shades nothing).
 // stats is resolved against the VM's counters on first execution, so a
-// never-executed site leaves no trace (matching the reference engine).
+// never-executed site leaves no trace.
 type siteRec struct {
 	key   satb.SiteKey
+	line  int32
 	kind  satb.SiteKind
 	elide satb.ElideKind
+	raw   bool
 	stats *satb.SiteStats
 }
 
@@ -171,7 +170,7 @@ type dmethod struct {
 	code    []dinstr
 	fused   []finstr
 	fields  []fieldRec
-	statics []staticRec
+	statics []*heap.Value // static slots in the VM's heap (stable addresses)
 	allocs  []allocRec
 	callees []calleeRec
 	sites   []siteRec
@@ -219,23 +218,34 @@ func (m *dmethod) release(f *fframe) {
 	}
 }
 
-// dprogram is a decoded program.
+// dprogram is a decoded program (main is nil when the program has no
+// main method; Run reports that).
 type dprogram struct {
 	main    *dmethod
 	methods map[*bytecode.Method]*dmethod
 }
 
-// decodeProgram translates a program into the dense executable form. Any
-// unresolvable operand fails the whole decode; the caller then falls back
-// to the switch interpreter, which reports such programs with its usual
-// runtime errors. project maps each store's analysis verdict to the
-// verdict used at runtime (the barrier flavor's soundness projection) —
-// it runs once per site here, keeping flavor logic off the dispatch path.
-func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(*bytecode.Instr) satb.ElideKind) (*dprogram, error) {
-	mm := p.Method(p.Main)
-	if mm == nil {
-		return nil, fmt.Errorf("vm: no main method %s", p.Main)
-	}
+// DecodeError is a program the VM refuses to run: an operand that does
+// not resolve against the program or the heap layout. Decoding is total
+// for verifier-accepted programs, so only unverified bytecode produces
+// one, and every engine reports it from Run before executing anything.
+type DecodeError struct {
+	Method string
+	PC     int
+	Msg    string
+}
+
+func (e *DecodeError) Error() string {
+	return fmt.Sprintf("vm: decode %s pc %d: %s", e.Method, e.PC, e.Msg)
+}
+
+// decode translates the program into the dense executable form every
+// engine runs from. Any unresolvable operand fails the whole decode with
+// a *DecodeError. Each store's analysis verdict is projected through the
+// barrier flavor's soundness predicate here, once per site, keeping
+// flavor logic off the dispatch path.
+func (v *VM) decode() (*dprogram, error) {
+	p := v.prog
 	d := &dprogram{methods: make(map[*bytecode.Method]*dmethod)}
 	methods := p.Methods()
 	for _, m := range methods {
@@ -249,31 +259,28 @@ func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(*bytec
 		}
 	}
 	for _, m := range methods {
-		if err := d.decodeMethod(p, layout, d.methods[m], project); err != nil {
+		if err := v.decodeMethod(d, d.methods[m]); err != nil {
 			return nil, err
 		}
 	}
-	d.main = d.methods[mm]
+	if mm := p.Method(p.Main); mm != nil {
+		d.main = d.methods[mm]
+	}
 	return d, nil
 }
 
-// i32 guards an operand that must fit the decoded form exactly.
-func i32(v int64) (int32, error) {
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("vm: decode: operand %d out of range", v)
-	}
-	return int32(v), nil
-}
-
 // decodeMethod fills in dm.code and the operand tables.
-func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dmethod, project func(*bytecode.Instr) satb.ElideKind) error {
-	m := dm.src
+func (v *VM) decodeMethod(d *dprogram, dm *dmethod) error {
+	p, layout, m := v.prog, v.heap.Layout(), dm.src
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
 		in := &m.Code[pc]
 		di := &dm.code[pc]
 		di.fuse = -1
 		di.line = int32(in.Line)
+		fail := func(format string, args ...any) error {
+			return &DecodeError{Method: dm.name, PC: pc, Msg: fmt.Sprintf(format, args...)}
+		}
 		switch in.Op {
 		case bytecode.OpNop:
 			di.op = dNop
@@ -283,15 +290,14 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 		case bytecode.OpConstNull:
 			di.op = dConstNull
 		case bytecode.OpLoad, bytecode.OpStore:
-			a, err := i32(in.A)
-			if err != nil {
-				return err
+			if in.A < 0 || in.A > math.MaxInt32 {
+				return fail("operand %d out of range", in.A)
 			}
 			di.op = dLoad
 			if in.Op == bytecode.OpStore {
 				di.op = dStore
 			}
-			di.a = a
+			di.a = int32(in.A)
 		case bytecode.OpDup:
 			di.op = dDup
 		case bytecode.OpPop:
@@ -331,9 +337,8 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 		case bytecode.OpRefNE:
 			di.op = dRefNE
 		case bytecode.OpGoto, bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfNull, bytecode.OpIfNonNull:
-			a, err := i32(in.A)
-			if err != nil {
-				return err
+			if in.A < 0 || in.A > math.MaxInt32 {
+				return fail("operand %d out of range", in.A)
 			}
 			switch in.Op {
 			case bytecode.OpGoto:
@@ -347,11 +352,11 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 			default:
 				di.op = dIfNonNull
 			}
-			di.a = a
+			di.a = int32(in.A)
 		case bytecode.OpGetField, bytecode.OpPutField:
 			idx, err := layout.FieldIndex(in.Field)
 			if err != nil {
-				return fmt.Errorf("vm: decode %s pc %d: %v", dm.name, pc, err)
+				return fail("%v", err)
 			}
 			isRef := p.FieldType(in.Field).IsRef()
 			di.a = int32(len(dm.fields))
@@ -363,18 +368,18 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 				di.op = dGetFieldInt
 			case isRef:
 				di.op = dPutFieldRef
-				di.b = dm.addSite(pc, satb.FieldSite, project(in))
+				di.b = v.addSite(dm, pc, satb.FieldSite, in)
 			default:
 				di.op = dPutFieldInt
 			}
 		case bytecode.OpGetStatic, bytecode.OpPutStatic:
-			ft := p.FieldType(in.Field)
-			if ft == nil {
-				return fmt.Errorf("vm: decode %s pc %d: unresolved static %s", dm.name, pc, in.Field)
+			slot := v.heap.StaticSlot(in.Field)
+			if slot == nil {
+				return fail("unresolved static %s", in.Field)
 			}
-			isRef := ft.IsRef()
+			isRef := p.FieldType(in.Field).IsRef()
 			di.a = int32(len(dm.statics))
-			dm.statics = append(dm.statics, staticRec{ref: in.Field, isRef: isRef})
+			dm.statics = append(dm.statics, slot)
 			switch {
 			case in.Op == bytecode.OpGetStatic && isRef:
 				di.op = dGetStaticRef
@@ -387,18 +392,18 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 			}
 		case bytecode.OpNewInstance:
 			if in.Type == nil {
-				return fmt.Errorf("vm: decode %s pc %d: newinstance missing type", dm.name, pc)
+				return fail("newinstance missing type")
 			}
 			n, ok := layout.NumFields(in.Type.Class)
 			if !ok {
-				return fmt.Errorf("vm: decode %s pc %d: unknown class %s", dm.name, pc, in.Type.Class)
+				return fail("unknown class %s", in.Type.Class)
 			}
 			di.op = dNewInstance
 			di.a = int32(len(dm.allocs))
 			dm.allocs = append(dm.allocs, allocRec{class: in.Type.Class, nFields: n})
 		case bytecode.OpNewArray:
 			if in.Type == nil {
-				return fmt.Errorf("vm: decode %s pc %d: newarray missing element type", dm.name, pc)
+				return fail("newarray missing element type")
 			}
 			di.op = dNewArrayInt
 			if in.Type.IsRef() {
@@ -412,13 +417,13 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 			di.op = dIALoad
 		case bytecode.OpAAStore:
 			di.op = dAAStore
-			di.b = dm.addSite(pc, satb.ArraySite, project(in))
+			di.b = v.addSite(dm, pc, satb.ArraySite, in)
 		case bytecode.OpIAStore:
 			di.op = dIAStore
 		case bytecode.OpInvoke, bytecode.OpSpawn:
 			callee := p.Method(in.Method)
 			if callee == nil {
-				return fmt.Errorf("vm: decode %s pc %d: unresolved method %s", dm.name, pc, in.Method)
+				return fail("unresolved method %s", in.Method)
 			}
 			di.op = dInvoke
 			if in.Op == bytecode.OpSpawn {
@@ -435,19 +440,26 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 		case bytecode.OpTrap:
 			di.op = dTrap
 		default:
-			return fmt.Errorf("vm: decode %s pc %d: unknown opcode %v", dm.name, pc, in.Op)
+			return fail("unknown opcode %v", in.Op)
 		}
 	}
-	fuseMethod(dm)
+	if v.cfg.Engine != EngineSwitch { // the reference interpreter never fuses
+		fuseMethod(dm)
+	}
 	return nil
 }
 
-// addSite records a barriered store site.
-func (dm *dmethod) addSite(pc int, kind satb.SiteKind, elide satb.ElideKind) int32 {
+// addSite records the barriered store site of instruction in.
+func (v *VM) addSite(dm *dmethod, pc int, kind satb.SiteKind, in *bytecode.Instr) int32 {
+	elide := v.projectElide(in)
+	sp := v.spec
 	dm.sites = append(dm.sites, siteRec{
 		key:   satb.SiteKey{Method: dm.name, PC: pc},
+		line:  int32(in.Line),
 		kind:  kind,
 		elide: elide,
+		raw: elide == satb.ElidePreNull || elide == satb.ElideNullOrSame ||
+			(!sp.ShadesPre && !sp.ShadesNew && !sp.Card),
 	})
 	return int32(len(dm.sites) - 1)
 }

@@ -1,22 +1,24 @@
 package vm
 
 import (
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/heap"
+	"satbelim/internal/progen"
+	"satbelim/internal/verifier"
 )
 
 // fusedOpsByHead decodes a program and returns the superinstruction kind
 // at each fused head pc of the main method.
 func fusedOpsByHead(t *testing.T, p *bytecode.Program) map[int]dop {
 	t.Helper()
-	d, err := decodeProgram(p, heap.NewLayout(p), elideKind)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	v := New(p, Config{})
+	if v.decodeErr != nil {
+		t.Fatalf("decode: %v", v.decodeErr)
 	}
+	d := v.dprog
 	out := map[int]dop{}
 	for pc := range d.main.code {
 		if fu := d.main.code[pc].fuse; fu >= 0 {
@@ -127,46 +129,80 @@ func TestBranchIntoFusedRegion(t *testing.T) {
 	}
 }
 
-func TestDecodeFallbackOnUnresolvedMethod(t *testing.T) {
+// TestUndecodableProgramIsRefused: a hand-built program the verifier
+// rejects (its main calls a method that does not exist) does not decode,
+// and every engine refuses it from Run with the same structured error
+// before executing anything — no engine quietly runs it on another.
+func TestUndecodableProgramIsRefused(t *testing.T) {
 	prog := bytecode.NewProgram()
 	cls := &bytecode.Class{Name: "T"}
 	b := bytecode.NewBuilder("T", "main", true)
+	b.Const(1)
+	b.Op(bytecode.OpPrint)
 	b.Invoke(bytecode.MethodRef{Class: "T", Name: "nope"})
 	b.Return()
 	cls.Methods = append(cls.Methods, b.Build())
 	prog.AddClass(cls)
 	prog.Main = bytecode.MethodRef{Class: "T", Name: "main"}
-
-	v := New(prog, Config{})
-	if v.EngineUsed() != EngineSwitch {
-		t.Fatalf("undecodable program must fall back to the switch engine, got %v", v.EngineUsed())
+	if err := verifier.VerifyProgram(prog); err == nil {
+		t.Fatal("verifier accepted a call to an unresolved method")
 	}
-	_, err := v.Run()
-	if err == nil || !strings.Contains(err.Error(), "unresolved method T.nope") {
-		t.Fatalf("err = %v, want unresolved-method runtime error", err)
+
+	for _, eng := range []Engine{EngineFused, EngineCompiled, EngineSwitch} {
+		v := New(prog, Config{Engine: eng, TierThreshold: 1})
+		res, err := v.Run()
+		var de *DecodeError
+		if !errors.As(err, &de) {
+			t.Fatalf("%v: err = %v, want *DecodeError", eng, err)
+		}
+		if de.Method != "T.main" || de.PC != 2 || de.Msg != "unresolved method T.nope" {
+			t.Errorf("%v: DecodeError = %+v", eng, de)
+		}
+		if res != nil || v.steps != 0 || len(v.output) != 0 {
+			t.Errorf("%v: refused program executed (steps=%d output=%v)", eng, v.steps, v.output)
+		}
 	}
 }
 
+// TestEngineSelection: a run executes on, and reports, exactly the
+// engine its Config names.
 func TestEngineSelection(t *testing.T) {
 	p := compileSrc(t, `class A { static void main() { print(7); } }`, 0)
-	fused := New(p, Config{})
-	if fused.EngineUsed() != EngineFused {
-		t.Errorf("default engine = %v, want fused", fused.EngineUsed())
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, "fused"},
+		{Config{Engine: EngineSwitch}, "switch"},
+		{Config{Engine: EngineCompiled}, "compiled"},
+		{Config{Engine: EngineCompiled, CheckElisions: true}, "compiled"},
+	} {
+		res, err := New(p, tc.cfg).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Engine != tc.want {
+			t.Errorf("Result.Engine = %q, want %q", res.Engine, tc.want)
+		}
 	}
-	sw := New(p, Config{Engine: EngineSwitch})
-	if sw.EngineUsed() != EngineSwitch {
-		t.Errorf("explicit switch engine not honored")
+}
+
+// TestDecodeTotalOnVerifiedPrograms: decoding is total for every program
+// the verifier accepts — the generator corpora of the default and the
+// campaign configurations here, the FuzzParse corpus in minijava — so no
+// engine ever has to refuse a verified program.
+func TestDecodeTotalOnVerifiedPrograms(t *testing.T) {
+	n := 40
+	if testing.Short() {
+		n = 10
 	}
-	fres, err := fused.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := sw.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.Engine != "fused" || sres.Engine != "switch" {
-		t.Errorf("Result.Engine: fused=%q switch=%q", fres.Engine, sres.Engine)
+	for _, cfg := range []progen.Config{progen.DefaultConfig(), progen.CampaignConfig()} {
+		for i, src := range progen.Corpus(4242, n, cfg) {
+			p := compileSrc(t, src, 50)
+			if err := New(p, Config{}).decodeErr; err != nil {
+				t.Fatalf("corpus program %d: verified but undecodable: %v\n%s", i, err, src)
+			}
+		}
 	}
 }
 

@@ -37,11 +37,40 @@ class A {
 }
 `
 
+// lateFlavorSrc carries the same two verdicts as flavorSrc, but its
+// stores first execute in iteration 20, long after the compiled engine
+// (at a low tier threshold) has translated main: a violation at one of
+// them is raised by compiled code.
+const lateFlavorSrc = `
+class N { N next; }
+class A {
+    static void main() {
+        int k = 0;
+        for (int i = 0; i < 60; i = i + 1) {
+            N head = new N();
+            if (i >= 20) {
+                head.next = new N();     // pre-null
+                head.next = head.next;   // null-or-same recopy
+            }
+            k = k + 1;
+        }
+        print(k);
+    }
+}
+`
+
 // analyzedFlavorProgram compiles and analyzes flavorSrc, asserting both
 // verdict kinds are present.
 func analyzedFlavorProgram(t *testing.T) *bytecode.Program {
 	t.Helper()
-	p := compileSrc(t, flavorSrc, 100)
+	return analyzedProgram(t, flavorSrc)
+}
+
+// analyzedProgram compiles and analyzes src, asserting both verdict
+// kinds are present.
+func analyzedProgram(t *testing.T, src string) *bytecode.Program {
+	t.Helper()
+	p := compileSrc(t, src, 100)
 	if _, err := core.AnalyzeProgram(p, core.Options{Mode: core.ModeFieldArray, NullOrSame: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -58,21 +87,55 @@ func analyzedFlavorProgram(t *testing.T) *bytecode.Program {
 	return p
 }
 
+// rawElideViolation runs p under mode with the flavor projection
+// bypassed on all three engines and returns the violation the oracle
+// raises. Every engine must raise the identical violation (site, line,
+// allocation site) after the identical number of steps, and on the
+// compiled engine it must come from compiled code: the tier threshold is
+// low and the quantum large, so the offending store runs inside a
+// compiled segment, whose failing op records what it entered.
+func rawElideViolation(t *testing.T, p *bytecode.Program, mode satb.BarrierMode) *SoundnessViolation {
+	t.Helper()
+	var want *SoundnessViolation
+	var wantSteps int64
+	for _, eng := range []Engine{EngineFused, EngineSwitch, EngineCompiled} {
+		v := New(p, Config{
+			Barrier:       mode,
+			Engine:        eng,
+			CheckElisions: true,
+			ForceRawElide: true,
+			TierThreshold: 2,
+			Quantum:       1 << 20,
+		})
+		_, err := v.Run()
+		var sv *SoundnessViolation
+		if !errors.As(err, &sv) {
+			t.Fatalf("%v: err = %v, want *SoundnessViolation", eng, err)
+		}
+		if sv.AllocSite == "" {
+			t.Errorf("%v: violation should carry the target's allocation site", eng)
+		}
+		if eng == EngineCompiled && (v.tierUps == 0 || v.opEntered == 0) {
+			t.Errorf("compiled: violation not raised by compiled code (tier-ups %d)", v.tierUps)
+		}
+		if want == nil {
+			want, wantSteps = sv, v.steps
+		} else if *sv != *want || v.steps != wantSteps {
+			t.Errorf("%v: %v after %d steps; fused: %v after %d steps", eng, sv, v.steps, want, wantSteps)
+		}
+	}
+	return want
+}
+
 // TestFlavorOracleCatchesCrossFlavorElision proves the oracle rejects a
 // pre-null verdict executed under the insertion-only dijkstra flavor
 // when the projection is bypassed: dijkstra shades new values, so an
 // un-logged overwrite of a live pre-value is exactly the deletion-side
 // hole the verdict cannot excuse.
 func TestFlavorOracleCatchesCrossFlavorElision(t *testing.T) {
-	p := analyzedFlavorProgram(t)
-	_, err := New(p, Config{
-		Barrier:       satb.ModeDijkstra,
-		CheckElisions: true,
-		ForceRawElide: true,
-	}).Run()
-	var sv *SoundnessViolation
-	if !errors.As(err, &sv) {
-		t.Fatalf("err = %v, want *SoundnessViolation", err)
+	sv := rawElideViolation(t, analyzedProgram(t, lateFlavorSrc), satb.ModeDijkstra)
+	if sv.Elide != satb.ElidePreNull {
+		t.Errorf("violation kind = %v, want pre-null", sv.Elide)
 	}
 	if !strings.Contains(sv.Reason, "unsound under the dijkstra barrier flavor") {
 		t.Errorf("reason = %q, want cross-flavor diagnostic", sv.Reason)
@@ -84,16 +147,7 @@ func TestFlavorOracleCatchesCrossFlavorElision(t *testing.T) {
 // needs its insertion-side shade), so a raw null-or-same elision must
 // trip the oracle.
 func TestFlavorOracleCatchesHybridNullOrSame(t *testing.T) {
-	p := analyzedFlavorProgram(t)
-	_, err := New(p, Config{
-		Barrier:       satb.ModeHybrid,
-		CheckElisions: true,
-		ForceRawElide: true,
-	}).Run()
-	var sv *SoundnessViolation
-	if !errors.As(err, &sv) {
-		t.Fatalf("err = %v, want *SoundnessViolation", err)
-	}
+	sv := rawElideViolation(t, analyzedProgram(t, lateFlavorSrc), satb.ModeHybrid)
 	if sv.Elide != satb.ElideNullOrSame {
 		t.Errorf("violation kind = %v, want null-or-same", sv.Elide)
 	}

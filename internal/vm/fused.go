@@ -5,7 +5,6 @@ import (
 
 	"satbelim/internal/heap"
 	"satbelim/internal/obs"
-	"satbelim/internal/satb"
 )
 
 // This file is the execution half of the pre-decoded engine. It mirrors
@@ -41,7 +40,7 @@ func (f *fframe) pop() heap.Value {
 	return f.stack[f.sp]
 }
 
-// fthread is one cooperative thread of the fused engine.
+// fthread is one cooperative thread of the fused and compiled engines.
 type fthread struct {
 	id     int
 	frames []*fframe
@@ -60,101 +59,13 @@ func (v *VM) ferrf(f *fframe, format string, args ...any) error {
 	return &RuntimeError{Method: f.m.name, PC: int(f.pc), Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// refStoreBarrier runs the oracle check and the write barrier for one
-// reference store, identical in order and observable effect to the switch
-// interpreter's putfield/aastore tail. Site statistics are resolved
-// lazily so that never-executed sites leave no trace in the counters.
-func (v *VM) refStoreBarrier(t *fthread, f *fframe, pc int, kind satb.SiteKind, siteIdx int32, pre, newR, target heap.Ref) error {
-	rec := &f.m.sites[siteIdx]
-	if v.oracle != nil {
-		if err := v.oracle.checkStore(f.m.name, pc, int(f.m.code[pc].line), t.id, kind, rec.elide, pre, newR, target); err != nil {
-			return err
-		}
-	}
-	if rec.stats == nil {
-		rec.stats = v.counters.Site(rec.key, rec.kind, rec.elide)
-	}
-	v.counters.BarrierSiteSpec(v.spec, v.logger(), rec.stats, rec.elide, pre, newR, target)
-	return nil
-}
-
-// runFused executes the program on the pre-decoded engine. The loop shape
-// is the switch engine's: round-robin over live threads, one quantum
-// each, collector tick after every quantum.
-func (v *VM) runFused() (*Result, error) {
-	v.fthreads = []*fthread{{frames: []*fframe{v.dprog.main.acquire()}, span: threadSpan(0)}}
-	if v.cfg.ForceMarkingAlways && v.marker != nil {
-		v.startCycle()
-	}
-
-	for {
-		live := 0
-		for _, t := range v.fthreads {
-			if !t.done {
-				live++
-			}
-		}
-		if live == 0 {
-			break
-		}
-		for _, t := range v.fthreads {
-			if t.done {
-				continue
-			}
-			if err := v.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := v.runFusedQuantum(t); err != nil {
-				return nil, err
-			}
-			v.gcTick()
-		}
-	}
-	if v.marker != nil && v.marker.MarkingActive() {
-		v.finishCycle()
-	}
-	return v.result(), nil
-}
-
-// runFusedQuantum executes up to Quantum base instructions on one thread.
-// A superinstruction covering n base instructions executes only when all
-// n fit in both the remaining quantum and the remaining instruction
-// budget; otherwise the plain per-pc instructions run, so thread rotation
-// and budget exhaustion happen at exactly the same instruction as in the
-// reference engine.
-func (v *VM) runFusedQuantum(t *fthread) error {
-	q := v.cfg.Quantum
-	for i := 0; i < q; {
-		if len(t.frames) == 0 {
-			t.done = true
-			t.span.End()
-			return nil
-		}
-		if v.steps >= v.maxSteps {
-			return fmt.Errorf("vm: instruction budget exhausted (%d)", v.maxSteps)
-		}
-		f := t.frames[len(t.frames)-1]
-		if int(f.pc) >= len(f.m.code) {
-			return v.ferrf(f, "pc past end of method")
-		}
-		in := &f.m.code[f.pc]
-		if in.fuse >= 0 {
-			fi := &f.m.fused[in.fuse]
-			n := int(fi.n)
-			if i+n <= q && v.steps+int64(n) <= v.maxSteps {
-				if err := v.execFused(t, f, fi); err != nil {
-					return err
-				}
-				i += n
-				continue
-			}
-		}
-		if err := v.stepFused(t, f, in); err != nil {
-			return err
-		}
-		i++
-	}
-	return nil
+// spawn starts callee on a new fused/compiled-engine thread with recv as
+// its receiver, which (with everything it reaches) is thereby published.
+func (v *VM) spawn(callee *dmethod, recv heap.Value) {
+	nf := callee.acquire()
+	nf.locals[0] = recv
+	v.publish(recv.R)
+	v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
 }
 
 // stepFused executes one plain decoded instruction. It is the switch
@@ -262,36 +173,27 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		old := o.Fields[fr.idx]
 		o.Fields[fr.idx] = val
 		if in.op == dPutFieldRef {
-			if err := v.refStoreBarrier(t, f, int(f.pc), satb.FieldSite, in.b, old.R, val.R, obj.R); err != nil {
+			if err := v.storeBarrier(&f.m.sites[in.b], t.id, old.R, val.R, obj.R); err != nil {
 				return err
 			}
 		}
 	case dGetStaticRef, dGetStaticInt:
-		val := v.heap.GetStatic(f.m.statics[in.a].ref)
+		val := *f.m.statics[in.a]
 		if in.op == dGetStaticRef {
 			val.IsRef = true
 		}
 		f.push(val)
-	case dPutStaticRef:
-		val := f.pop()
-		old := v.heap.SetStatic(f.m.statics[in.a].ref, val)
-		if v.oracle != nil {
-			// Statics are globally reachable: the stored object (and
-			// everything it reaches) is published.
-			v.oracle.escape(val.R)
+	case dPutStaticRef, dPutStaticInt:
+		slot := f.m.statics[in.a]
+		old, val := *slot, f.pop()
+		*slot = val
+		if in.op == dPutStaticRef {
+			v.staticStore(old.R, val.R)
 		}
-		v.counters.StaticBarrierSpec(v.spec, v.logger(), old.R, val.R)
-	case dPutStaticInt:
-		v.heap.SetStatic(f.m.statics[in.a].ref, f.pop())
 
 	case dNewInstance:
 		al := &f.m.allocs[in.a]
-		r := v.heap.AllocObjectN(al.class, al.nFields)
-		v.allocSinceGC++
-		if v.oracle != nil {
-			v.oracle.noteAlloc(r, f.m.name, int(f.pc), t.id)
-		}
-		f.push(heap.RefVal(r))
+		f.push(v.allocated(v.heap.AllocObjectN(al.class, al.nFields), f.m, f.pc, t.id))
 	case dNewArrayRef, dNewArrayInt:
 		n := f.pop().I
 		if n < 0 {
@@ -301,11 +203,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if err != nil {
 			return v.ferrf(f, "%v", err)
 		}
-		v.allocSinceGC++
-		if v.oracle != nil {
-			v.oracle.noteAlloc(r, f.m.name, int(f.pc), t.id)
-		}
-		f.push(heap.RefVal(r))
+		f.push(v.allocated(r, f.m, f.pc, t.id))
 	case dArrayLength:
 		arr := f.pop()
 		if arr.R == heap.Null {
@@ -352,7 +250,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		old := o.Elems[idx]
 		o.Elems[idx] = val
 		if in.op == dAAStore {
-			if err := v.refStoreBarrier(t, f, int(f.pc), satb.ArraySite, in.b, old.R, val.R, arr.R); err != nil {
+			if err := v.storeBarrier(&f.m.sites[in.b], t.id, old.R, val.R, arr.R); err != nil {
 				return err
 			}
 		}
@@ -377,14 +275,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if recv.R == heap.Null {
 			return v.ferrf(f, "null receiver in spawn")
 		}
-		nf := f.m.callees[in.a].m.acquire()
-		nf.locals[0] = recv
-		if v.oracle != nil {
-			// The receiver (and everything it reaches) becomes visible to
-			// the spawned thread.
-			v.oracle.escape(recv.R)
-		}
-		v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
+		v.spawn(f.m.callees[in.a].m, recv)
 	case dReturn:
 		t.frames = t.frames[:len(t.frames)-1]
 		f.m.release(f)
@@ -474,7 +365,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		old := o.Fields[fr.idx]
 		o.Fields[fr.idx] = val
 		if fi.op == fLLPutFieldRef {
-			if err := v.refStoreBarrier(t, f, int(f.pc)+2, satb.FieldSite, fi.site, old.R, val.R, obj.R); err != nil {
+			if err := v.storeBarrier(&f.m.sites[fi.site], t.id, old.R, val.R, obj.R); err != nil {
 				return err
 			}
 		}
@@ -522,7 +413,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		old := o.Elems[idx]
 		o.Elems[idx] = val
 		if fi.op == fLLLAAStore {
-			if err := v.refStoreBarrier(t, f, int(f.pc)+3, satb.ArraySite, fi.site, old.R, val.R, arr.R); err != nil {
+			if err := v.storeBarrier(&f.m.sites[fi.site], t.id, old.R, val.R, arr.R); err != nil {
 				return err
 			}
 		}

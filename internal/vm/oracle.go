@@ -47,11 +47,13 @@ func elideName(k satb.ElideKind) string {
 	}
 }
 
-// objMeta is the oracle's per-object shadow state.
+// objMeta is the oracle's per-object shadow state. The allocation site
+// is kept as its parts and formatted only when a violation reports it.
 type objMeta struct {
-	allocSite string // "method:pc"
-	owner     int    // allocating thread id
-	escaped   bool   // published beyond the allocating thread
+	method  string // allocating method
+	pc      int32  // allocating pc
+	owner   int    // allocating thread id
+	escaped bool   // published beyond the allocating thread
 }
 
 // oracle validates, at every elided store, the analysis claims behind the
@@ -79,8 +81,8 @@ func newOracle(h *heap.Heap, spec *satb.BarrierSpec) *oracle {
 }
 
 // noteAlloc records the allocation site and owning thread of a new object.
-func (o *oracle) noteAlloc(r heap.Ref, method string, pc, tid int) {
-	o.meta[r] = &objMeta{allocSite: fmt.Sprintf("%s:%d", method, pc), owner: tid}
+func (o *oracle) noteAlloc(r heap.Ref, method string, pc int32, tid int) {
+	o.meta[r] = &objMeta{method: method, pc: pc, owner: tid}
 }
 
 // escape marks the object and everything reachable from it as published.
@@ -101,17 +103,17 @@ func (o *oracle) escape(r heap.Ref) {
 // allocSiteOf returns the recorded allocation site of r.
 func (o *oracle) allocSiteOf(r heap.Ref) string {
 	if m := o.meta[r]; m != nil {
-		return m.allocSite
+		return fmt.Sprintf("%s:%d", m.method, m.pc)
 	}
 	return ""
 }
 
-// checkStore validates one reference store and maintains escape state.
-// method/pc/line locate the store site (both execution engines report the
-// bytecode pc). pre is the overwritten value, newVal the stored value,
-// target the written object. It returns a *SoundnessViolation when an
-// elided site's dynamic execution contradicts the analysis claim.
-func (o *oracle) checkStore(method string, pc, line, tid int, site satb.SiteKind, elide satb.ElideKind, pre, newVal, target heap.Ref) error {
+// checkStore validates one reference store at site rec, executed by
+// thread tid, and maintains escape state. pre is the overwritten value,
+// newVal the stored value, target the written object. It returns a
+// *SoundnessViolation when an elided site's dynamic execution contradicts
+// the analysis claim.
+func (o *oracle) checkStore(rec *siteRec, tid int, pre, newVal, target heap.Ref) error {
 	m := o.meta[target]
 	// A store from a thread other than the allocator proves the object is
 	// shared, whether or not a publication event was observed.
@@ -120,12 +122,13 @@ func (o *oracle) checkStore(method string, pc, line, tid int, site satb.SiteKind
 	}
 	violation := func(reason string) error {
 		return &SoundnessViolation{
-			Method: method, PC: pc, Line: line,
-			Site: site, Elide: elide,
+			Method: rec.key.Method, PC: rec.key.PC, Line: int(rec.line),
+			Site: rec.kind, Elide: rec.elide,
 			Pre: pre, New: newVal, Target: target,
 			AllocSite: o.allocSiteOf(target), Reason: reason,
 		}
 	}
+	elide := rec.elide
 	var err error
 	if elide != satb.ElideNone && !o.spec.Sound(elide) {
 		// Engines project every verdict through the flavor's soundness

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,6 +25,34 @@ func findPutField(t *testing.T, p *bytecode.Program, field string) (*bytecode.Me
 	}
 	t.Fatalf("no putfield %s in program", field)
 	return nil, 0
+}
+
+// oracleRun runs p under cfg with the oracle armed on every engine — the
+// compiled one at the lowest tier threshold, so the stores run compiled
+// code — and returns the fused run's outcome after checking the others
+// ended identically (same result counts, or the same error).
+func oracleRun(t *testing.T, p *bytecode.Program, cfg Config) (*Result, error) {
+	t.Helper()
+	cfg.CheckElisions = true
+	cfg.TierThreshold = 1
+	var fres *Result
+	var ferr error
+	for _, eng := range []Engine{EngineFused, EngineSwitch, EngineCompiled} {
+		cfg.Engine = eng
+		res, err := New(p, cfg).Run()
+		if eng == EngineFused {
+			fres, ferr = res, err
+			continue
+		}
+		if fmt.Sprint(err) != fmt.Sprint(ferr) {
+			t.Errorf("%v: err = %v, fused: %v", eng, err, ferr)
+		}
+		if err == nil && ferr == nil && (res.Steps != fres.Steps || res.ElisionChecks != fres.ElisionChecks) {
+			t.Errorf("%v: steps %d checks %d, fused: steps %d checks %d",
+				eng, res.Steps, res.ElisionChecks, fres.Steps, fres.ElisionChecks)
+		}
+	}
+	return fres, ferr
 }
 
 // TestOracleCatchesNonNullOverwrite injects an unsound pre-null elision at
@@ -64,6 +93,16 @@ class A {
 	if sv.AllocSite == "" {
 		t.Error("violation should carry the target's allocation site")
 	}
+	// The oracle keeps allocation sites as method and pc and formats them
+	// only for a violation; the report text must not change with that.
+	const want = "soundness violation at A.main pc 7 (line 7): elided field store (pre-null): " +
+		"overwritten slot holds non-null reference 2 [pre=2 new=3 target=1 alloc=A.main:0]"
+	for _, eng := range []Engine{EngineFused, EngineSwitch, EngineCompiled} {
+		_, err := New(p, Config{Engine: eng, CheckElisions: true, TierThreshold: 1}).Run()
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: violation text\n got %v\nwant %s", eng, err, want)
+		}
+	}
 }
 
 // TestOracleCatchesEscapedTarget injects an elision at a pre-null store
@@ -83,7 +122,7 @@ class A {
 `, 0)
 	m, pc := findPutField(t, p, "next")
 	m.Code[pc].Elide = true
-	_, err := New(p, Config{CheckElisions: true}).Run()
+	_, err := oracleRun(t, p, Config{})
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {
 		t.Fatalf("err = %v, want *SoundnessViolation", err)
@@ -112,7 +151,7 @@ class A {
 `, 0)
 	m, pc := findPutField(t, p, "next")
 	m.Code[pc].Elide = true
-	_, err := New(p, Config{CheckElisions: true}).Run()
+	_, err := oracleRun(t, p, Config{})
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {
 		t.Fatalf("err = %v, want *SoundnessViolation", err)
@@ -145,13 +184,12 @@ class A {
 	if _, err := core.AnalyzeProgram(p, core.Options{Mode: core.ModeFieldArray, NullOrSame: true}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(p, Config{
+	res, err := oracleRun(t, p, Config{
 		Barrier:            satb.ModeConditional,
 		GC:                 GCSATB,
 		TriggerEveryAllocs: 20,
 		CheckInvariant:     true,
-		CheckElisions:      true,
-	}).Run()
+	})
 	if err != nil {
 		t.Fatalf("oracle flagged an analyzed program: %v", err)
 	}
@@ -160,5 +198,51 @@ class A {
 	}
 	if s := res.Counters.Summarize(); len(s.UnsoundSites) > 0 {
 		t.Errorf("unsound sites: %v", s.UnsoundSites)
+	}
+}
+
+// TestOracleCompiledPublication: allocation and publication hooks run in
+// compiled code too. Main tiers up on its first loop back-edge, so the
+// allocation of n, its publication at i == 5 (through a static, or by
+// handing it to a spawned thread) and the forced pre-null elision that
+// then stores into it all execute compiled; the oracle must see the
+// object escape and flag the store exactly as on the other engines.
+func TestOracleCompiledPublication(t *testing.T) {
+	for _, publish := range []string{"A.shared = n;", "spawn n.work();"} {
+		p := compileSrc(t, `
+class N {
+    N next;
+    void work() { }
+}
+class A {
+    static N shared;
+    static void main() {
+        for (int i = 0; i < 10; i = i + 1) {
+            N n = new N();
+            if (i == 5) { `+publish+` }
+            n.next = new N();   // pre-null, but n escaped at i == 5
+        }
+    }
+}
+`, 0)
+		m, pc := findPutField(t, p, "next")
+		m.Code[pc].Elide = true
+		var want string
+		for _, eng := range []Engine{EngineFused, EngineSwitch, EngineCompiled} {
+			v := New(p, Config{Engine: eng, CheckElisions: true, TierThreshold: 1, Quantum: 1 << 20})
+			_, err := v.Run()
+			var sv *SoundnessViolation
+			if !errors.As(err, &sv) || !strings.Contains(sv.Reason, "escaped") {
+				t.Fatalf("%s on %v: err = %v, want escape violation", publish, eng, err)
+			}
+			if eng == EngineCompiled && v.opEntered == 0 {
+				t.Errorf("%s: violation not raised by compiled code", publish)
+			}
+			if want == "" {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Errorf("%s on %v: %v, fused: %s", publish, eng, err, want)
+			}
+		}
 	}
 }

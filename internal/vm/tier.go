@@ -5,7 +5,6 @@ import (
 
 	"satbelim/internal/heap"
 	"satbelim/internal/obs"
-	"satbelim/internal/satb"
 )
 
 // This file is the compiled hot-method tier (EngineCompiled), the third
@@ -29,13 +28,15 @@ import (
 //     may stay deferred past another emitted operation), so evaluation
 //     order — including error order — is exactly the reference
 //     interpreter's.
-//   - Elided reference stores compile to raw writes followed only by the
-//     per-site instrumentation counters — no barrier-mode switch, no
+//   - Reference stores compile to raw writes followed by VM.storeBarrier,
+//     the one store-barrier path of all engines. At an elided site it only
+//     bumps the per-site counters — no barrier-mode switch, no
 //     marking-phase test, no logger dispatch: the compile-time elision
 //     proof pays off at full speed, which is the paper's payoff this tier
-//     exists to demonstrate. Kept barriers and rearrangement stores keep
-//     the exact shared satb.BarrierSite path so cost accounting stays
-//     bit-identical.
+//     exists to demonstrate. Kept barriers and rearrangement stores take
+//     its shared satb.BarrierSiteSpec branch so cost accounting stays
+//     bit-identical, and with the oracle armed it checks compiled stores
+//     exactly as it checks interpreted ones.
 //   - Fused superinstructions are preserved: non-branch forms become
 //     thunks or standalone compiled ops covering the same base span;
 //     compare-and-branch forms become segment terminators.
@@ -58,13 +59,15 @@ import (
 //     and the segment runner charges prefix + entered — precisely the
 //     reference interpreter's count-at-entry total. On success one
 //     addition charges the whole segment.
-//   - Every error path first moves f.pc to the failing instruction so
-//     RuntimeError diagnostics are identical.
+//   - Every runtime error path first moves f.pc to the failing
+//     instruction so RuntimeError diagnostics are identical; an oracle
+//     violation carries its store site itself, and its op charges every
+//     base instruction it covers (the store is the op's last).
 //   - Conditions the tier cannot handle fall back mid-run with identical
-//     semantics: the oracle disables tier-up entirely (tierEnabled), a
-//     forced deopt (Config.TierForceDeoptAfter) permanently re-enters
-//     fused dispatch, and a pc that is not a segment leader (resuming a
-//     quantum mid-segment) simply interprets until the next leader.
+//     semantics: a forced deopt (Config.TierForceDeoptAfter) permanently
+//     re-enters fused dispatch, and a pc that is not a segment entry
+//     point (resuming a quantum mid-expression) simply interprets until
+//     the next one.
 
 // DefaultTierThreshold is the exec count (method entries + loop
 // back-edges) at which a method tiers up when Config.TierThreshold is 0.
@@ -153,51 +156,28 @@ func (v *VM) cerr(f *fframe, pc, entered int32, format string, args ...any) erro
 	return v.ferrf(f, format, args...)
 }
 
-// runTiered executes the program under the tiered engine. The loop shape
-// is the fused engine's: round-robin over live threads, one quantum each,
-// collector tick after every quantum — only the per-quantum body differs.
-func (v *VM) runTiered() (*Result, error) {
-	v.fthreads = []*fthread{{frames: []*fframe{v.dprog.main.acquire()}, span: threadSpan(0)}}
-	if v.cfg.ForceMarkingAlways && v.marker != nil {
-		v.startCycle()
+// charged passes on the result of a compiled store's barrier: a failure
+// (an oracle violation) happens at the store, the op's final base
+// instruction, so all w base instructions the op covers were entered.
+func (v *VM) charged(err error, w int32) error {
+	if err != nil {
+		v.opEntered = w
 	}
-
-	for {
-		live := 0
-		for _, t := range v.fthreads {
-			if !t.done {
-				live++
-			}
-		}
-		if live == 0 {
-			break
-		}
-		for _, t := range v.fthreads {
-			if t.done {
-				continue
-			}
-			if err := v.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := v.runTieredQuantum(t); err != nil {
-				return nil, err
-			}
-			v.gcTick()
-		}
-	}
-	if v.marker != nil && v.marker.MarkingActive() {
-		v.finishCycle()
-	}
-	return v.result(), nil
+	return err
 }
 
-// runTieredQuantum executes up to Quantum base instructions on one
-// thread. Compiled segments execute only when they fit the remaining
-// quantum and instruction budget in full; everything else — cold methods,
-// mid-segment resume points, quantum tails, budget tails, forced deopt —
-// runs on the fused per-instruction path, which is the reference
-// behaviour instruction for instruction.
-func (v *VM) runTieredQuantum(t *fthread) error {
+// runDecodedQuantum executes up to Quantum base instructions on one
+// thread of the fused or compiled engine (on fused, tierOff is set from
+// the start, so no method ever tiers up). Compiled segments execute only
+// when they fit the remaining quantum and instruction budget in full;
+// everything else — cold methods, mid-segment resume points, quantum
+// tails, budget tails, forced deopt — runs on fused dispatch: a
+// superinstruction covering n base instructions executes only when all n
+// fit in both the remaining quantum and the remaining instruction budget,
+// otherwise the plain per-pc instructions run, so thread rotation and
+// budget exhaustion happen at exactly the same instruction as in the
+// reference engine.
+func (v *VM) runDecodedQuantum(t *fthread) error {
 	q := v.cfg.Quantum
 	for i := 0; i < q; {
 		if len(t.frames) == 0 {
@@ -770,50 +750,6 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 	seg.n = sb.wAcc + termW
 }
 
-// compileBarrier bakes one store site's barrier decision into a closure.
-// This is the tier's reason to exist: a site whose (flavor-projected)
-// verdict is pre-null or null-or-same compiles to its instrumentation
-// counters and nothing else — no spec dispatch, no marking-phase check,
-// no logger — and under a flavor that shades nothing (no-barrier) every
-// site drops to the same raw path. The site verdicts were projected
-// through the flavor's soundness predicate at decode time, so a verdict
-// the flavor cannot honor never reaches the raw path. Kept and
-// rearrangement barriers route through the shared satb.BarrierSiteSpec
-// so cost, logging, shading, and card accounting stay bit-identical to
-// the other engines. Site statistics stay lazily resolved so
-// never-executed sites leave no trace, exactly like the fused engine.
-func (v *VM) compileBarrier(dm *dmethod, siteIdx int32) func(pre, newR, target heap.Ref) {
-	rec := &dm.sites[siteIdx]
-	counters := v.counters
-	spec := v.spec
-	if rec.elide == satb.ElidePreNull || rec.elide == satb.ElideNullOrSame ||
-		(!spec.ShadesPre && !spec.ShadesNew && !spec.Card) {
-		return func(pre, newR, target heap.Ref) {
-			st := rec.stats
-			if st == nil {
-				st = counters.Site(rec.key, rec.kind, rec.elide)
-				rec.stats = st
-			}
-			st.Execs++
-			if pre == heap.Null {
-				st.PreNull++
-			}
-			if pre == heap.Null || pre == newR {
-				st.NullOrSame++
-			}
-		}
-	}
-	log := v.logger()
-	return func(pre, newR, target heap.Ref) {
-		st := rec.stats
-		if st == nil {
-			st = counters.Site(rec.key, rec.kind, rec.elide)
-			rec.stats = st
-		}
-		counters.BarrierSiteSpec(spec, log, st, rec.elide, pre, newR, target)
-	}
-}
-
 // ---------------------------------------------------------------------
 // Producers (thunks)
 // ---------------------------------------------------------------------
@@ -834,27 +770,12 @@ func loadThunk(a int32) thunk {
 	}
 }
 
-func (v *VM) getStaticThunk(dm *dmethod, in *dinstr) thunk {
-	ref := dm.statics[in.a].ref
+func getStaticThunk(dm *dmethod, in *dinstr) thunk {
+	slot := dm.statics[in.a]
 	isRef := in.op == dGetStaticRef
-	if slot := v.heap.StaticSlot(ref); slot != nil {
-		// Statics resolve to a stable slot pointer at translation time —
-		// no per-access map lookup.
-		return thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				val := *slot
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
-			},
-			w: 1, pure: true,
-		}
-	}
-	// Undeclared refs (unverified programs only) keep the map path.
 	return thunk{
 		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			val := v.heap.GetStatic(ref)
+			val := *slot
 			if isRef {
 				val.IsRef = true
 			}
@@ -994,18 +915,16 @@ func (v *VM) arrayLengthThunk(arr thunk, pc int32) thunk {
 	}
 }
 
-func (v *VM) newInstanceThunk(al *allocRec) thunk {
+func (v *VM) newInstanceThunk(dm *dmethod, al *allocRec, pc int32) thunk {
 	return thunk{
 		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			r := v.heap.AllocObjectN(al.class, al.nFields)
-			v.allocSinceGC++
-			return heap.RefVal(r), nil
+			return v.allocated(v.heap.AllocObjectN(al.class, al.nFields), dm, pc, t.id), nil
 		},
 		w: 1,
 	}
 }
 
-func (v *VM) newArrayThunk(n thunk, isRef bool, pc int32) thunk {
+func (v *VM) newArrayThunk(dm *dmethod, n thunk, isRef bool, pc int32) thunk {
 	w := n.w + 1
 	return thunk{
 		ev: func(t *fthread, f *fframe) (heap.Value, error) {
@@ -1020,8 +939,7 @@ func (v *VM) newArrayThunk(n thunk, isRef bool, pc int32) thunk {
 			if aerr != nil {
 				return nv, v.cerr(f, pc, w, "%v", aerr)
 			}
-			v.allocSinceGC++
-			return heap.RefVal(r), nil
+			return v.allocated(r, dm, pc, t.id), nil
 		},
 		w: w, canFail: true,
 	}
@@ -1244,7 +1162,7 @@ func discardOp(val thunk) cop {
 	}
 }
 
-func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, target heap.Ref), pc int32) cop {
+func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, site *siteRec, pc int32) cop {
 	w := obj.w + val.w + 1
 	ow := obj.w
 	if obj.isLocal && (val.isLocal || val.isConst) {
@@ -1265,8 +1183,8 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			}
 			old := o.Fields[fr.idx]
 			o.Fields[fr.idx] = valv
-			if barrier != nil {
-				barrier(old.R, valv.R, objv.R)
+			if site != nil {
+				return v.charged(v.storeBarrier(site, t.id, old.R, valv.R, objv.R), w)
 			}
 			return nil
 		}
@@ -1290,8 +1208,8 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			}
 			old := o.Fields[fr.idx]
 			o.Fields[fr.idx] = valv
-			if barrier != nil {
-				barrier(old.R, valv.R, objv.R)
+			if site != nil {
+				return v.charged(v.storeBarrier(site, t.id, old.R, valv.R, objv.R), w)
 			}
 			return nil
 		}
@@ -1315,49 +1233,16 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 		}
 		old := o.Fields[fr.idx]
 		o.Fields[fr.idx] = valv
-		if barrier != nil {
-			barrier(old.R, valv.R, objv.R)
+		if site != nil {
+			return v.charged(v.storeBarrier(site, t.id, old.R, valv.R, objv.R), w)
 		}
 		return nil
 	}
 }
 
 func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
-	ref := dm.statics[in.a].ref
-	slot := v.heap.StaticSlot(ref)
-	if in.op == dPutStaticInt {
-		if slot == nil {
-			return func(t *fthread, f *fframe) error {
-				valv, err := val.ev(t, f)
-				if err != nil {
-					return err
-				}
-				v.heap.SetStatic(ref, valv)
-				return nil
-			}
-		}
-		return func(t *fthread, f *fframe) error {
-			valv, err := val.ev(t, f)
-			if err != nil {
-				return err
-			}
-			*slot = valv
-			return nil
-		}
-	}
-	spec := v.spec
-	log := v.logger()
-	if slot == nil {
-		return func(t *fthread, f *fframe) error {
-			valv, err := val.ev(t, f)
-			if err != nil {
-				return err
-			}
-			old := v.heap.SetStatic(ref, valv)
-			v.counters.StaticBarrierSpec(spec, log, old.R, valv.R)
-			return nil
-		}
-	}
+	slot := dm.statics[in.a]
+	isRef := in.op == dPutStaticRef
 	return func(t *fthread, f *fframe) error {
 		valv, err := val.ev(t, f)
 		if err != nil {
@@ -1365,12 +1250,14 @@ func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
 		}
 		old := *slot
 		*slot = valv
-		v.counters.StaticBarrierSpec(spec, log, old.R, valv.R)
+		if isRef {
+			v.staticStore(old.R, valv.R)
+		}
 		return nil
 	}
 }
 
-func (v *VM) arrayStoreOp(arr, idx, val thunk, barrier func(pre, newR, target heap.Ref), pc int32) cop {
+func (v *VM) arrayStoreOp(arr, idx, val thunk, site *siteRec, pc int32) cop {
 	w := arr.w + idx.w + val.w + 1
 	aw, iw := arr.w, idx.w
 	return func(t *fthread, f *fframe) error {
@@ -1400,8 +1287,8 @@ func (v *VM) arrayStoreOp(arr, idx, val thunk, barrier func(pre, newR, target he
 		}
 		old := o.Elems[idxv.I]
 		o.Elems[idxv.I] = valv
-		if barrier != nil {
-			barrier(old.R, valv.R, arrv.R)
+		if site != nil {
+			return v.charged(v.storeBarrier(site, t.id, old.R, valv.R, arrv.R), w)
 		}
 		return nil
 	}
@@ -1429,7 +1316,7 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dLoad:
 		sb.push(loadThunk(in.a))
 	case dGetStaticRef, dGetStaticInt:
-		sb.push(v.getStaticThunk(dm, in))
+		sb.push(getStaticThunk(dm, in))
 	case dGetFieldRef, dGetFieldInt:
 		sb.push(v.getFieldThunk(sb.operand(), &dm.fields[in.a], in.op == dGetFieldRef, pcc))
 	case dAALoad, dIALoad:
@@ -1448,9 +1335,9 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dArrayLength:
 		sb.push(v.arrayLengthThunk(sb.operand(), pcc))
 	case dNewInstance:
-		sb.push(v.newInstanceThunk(&dm.allocs[in.a]))
+		sb.push(v.newInstanceThunk(dm, &dm.allocs[in.a], pcc))
 	case dNewArrayRef, dNewArrayInt:
-		sb.push(v.newArrayThunk(sb.operand(), in.op == dNewArrayRef, pcc))
+		sb.push(v.newArrayThunk(dm, sb.operand(), in.op == dNewArrayRef, pcc))
 	case dAdd, dSub, dMul, dDiv, dRem, dAnd, dOr,
 		dCmpEQ, dCmpNE, dCmpLT, dCmpLE, dCmpGT, dCmpGE:
 		if ths, ok := sb.take(2); ok {
@@ -1500,34 +1387,28 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dPrint:
 		val := sb.operand()
 		sb.emit(v.printOp(val), val.w+1)
-	case dPutFieldRef:
-		barrier := v.compileBarrier(dm, in.b)
-		if ths, ok := sb.take(2); ok {
-			sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], barrier, pcc), ths[0].w+ths[1].w+1)
-		} else {
-			sb.emit(v.stackPutFieldOp(&dm.fields[in.a], barrier, pcc), 1)
+	case dPutFieldRef, dPutFieldInt:
+		var site *siteRec
+		if in.op == dPutFieldRef {
+			site = &dm.sites[in.b]
 		}
-	case dPutFieldInt:
 		if ths, ok := sb.take(2); ok {
-			sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], nil, pcc), ths[0].w+ths[1].w+1)
+			sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], site, pcc), ths[0].w+ths[1].w+1)
 		} else {
-			sb.emit(v.stackPutFieldOp(&dm.fields[in.a], nil, pcc), 1)
+			sb.emit(v.stackPutFieldOp(&dm.fields[in.a], site, pcc), 1)
 		}
 	case dPutStaticRef, dPutStaticInt:
 		val := sb.operand()
 		sb.emit(v.putStaticOp(dm, in, val), val.w+1)
-	case dAAStore:
-		barrier := v.compileBarrier(dm, in.b)
-		if ths, ok := sb.take(3); ok {
-			sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], barrier, pcc), ths[0].w+ths[1].w+ths[2].w+1)
-		} else {
-			sb.emit(v.stackArrayStoreOp(barrier, pcc), 1)
+	case dAAStore, dIAStore:
+		var site *siteRec
+		if in.op == dAAStore {
+			site = &dm.sites[in.b]
 		}
-	case dIAStore:
 		if ths, ok := sb.take(3); ok {
-			sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], nil, pcc), ths[0].w+ths[1].w+ths[2].w+1)
+			sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], site, pcc), ths[0].w+ths[1].w+ths[2].w+1)
 		} else {
-			sb.emit(v.stackArrayStoreOp(nil, pcc), 1)
+			sb.emit(v.stackArrayStoreOp(site, pcc), 1)
 		}
 
 	default:
@@ -1610,7 +1491,7 @@ func (v *VM) stackAALoadThunk(isRef bool, pc int32) thunk {
 	}
 }
 
-func (v *VM) stackPutFieldOp(fr *fieldRec, barrier func(pre, newR, target heap.Ref), pc int32) cop {
+func (v *VM) stackPutFieldOp(fr *fieldRec, site *siteRec, pc int32) cop {
 	return func(t *fthread, f *fframe) error {
 		val := f.pop()
 		obj := f.pop()
@@ -1623,14 +1504,14 @@ func (v *VM) stackPutFieldOp(fr *fieldRec, barrier func(pre, newR, target heap.R
 		}
 		old := o.Fields[fr.idx]
 		o.Fields[fr.idx] = val
-		if barrier != nil {
-			barrier(old.R, val.R, obj.R)
+		if site != nil {
+			return v.charged(v.storeBarrier(site, t.id, old.R, val.R, obj.R), 1)
 		}
 		return nil
 	}
 }
 
-func (v *VM) stackArrayStoreOp(barrier func(pre, newR, target heap.Ref), pc int32) cop {
+func (v *VM) stackArrayStoreOp(site *siteRec, pc int32) cop {
 	return func(t *fthread, f *fframe) error {
 		val := f.pop()
 		idx := f.pop().I
@@ -1647,8 +1528,8 @@ func (v *VM) stackArrayStoreOp(barrier func(pre, newR, target heap.Ref), pc int3
 		}
 		old := o.Elems[idx]
 		o.Elems[idx] = val
-		if barrier != nil {
-			barrier(old.R, val.R, arr.R)
+		if site != nil {
+			return v.charged(v.storeBarrier(site, t.id, old.R, val.R, arr.R), 1)
 		}
 		return nil
 	}
@@ -1737,9 +1618,9 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 		}, n)
 	case fLLPutFieldRef, fLLPutFieldInt:
 		a, b, fr := fi.a, fi.b, &dm.fields[fi.c]
-		var barrier func(pre, newR, target heap.Ref)
+		var site *siteRec
 		if fi.op == fLLPutFieldRef {
-			barrier = v.compileBarrier(dm, fi.site)
+			site = &dm.sites[fi.site]
 		}
 		sb.emit(func(t *fthread, f *fframe) error {
 			obj := f.locals[a]
@@ -1753,16 +1634,16 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 			}
 			old := o.Fields[fr.idx]
 			o.Fields[fr.idx] = val
-			if barrier != nil {
-				barrier(old.R, val.R, obj.R)
+			if site != nil {
+				return v.charged(v.storeBarrier(site, t.id, old.R, val.R, obj.R), n)
 			}
 			return nil
 		}, n)
 	case fLLLAAStore, fLLLIAStore:
 		a, b, c := fi.a, fi.b, fi.c
-		var barrier func(pre, newR, target heap.Ref)
+		var site *siteRec
 		if fi.op == fLLLAAStore {
-			barrier = v.compileBarrier(dm, fi.site)
+			site = &dm.sites[fi.site]
 		}
 		sb.emit(func(t *fthread, f *fframe) error {
 			arr := f.locals[a]
@@ -1780,8 +1661,8 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 			}
 			old := o.Elems[idx]
 			o.Elems[idx] = val
-			if barrier != nil {
-				barrier(old.R, val.R, arr.R)
+			if site != nil {
+				return v.charged(v.storeBarrier(site, t.id, old.R, val.R, arr.R), n)
 			}
 			return nil
 		}, n)
@@ -1964,9 +1845,7 @@ func (v *VM) composedTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cte
 				if recv.R == heap.Null {
 					return termToDriver, v.cerr(f, pcc, w, "null receiver in spawn")
 				}
-				nf := cr.m.acquire()
-				nf.locals[0] = recv
-				v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
+				v.spawn(cr.m, recv)
 				f.pc = pcc + 1
 				return nsi, nil
 			}, w, true
@@ -2046,9 +1925,7 @@ func (v *VM) compileTerm(dm *dmethod, cm *cmethod, pc int) cterm {
 			if recv.R == heap.Null {
 				return termToDriver, v.cerr(f, pcc, 1, "null receiver in spawn")
 			}
-			nf := cr.m.acquire()
-			nf.locals[0] = recv
-			v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
+			v.spawn(cr.m, recv)
 			f.pc = pcc + 1
 			return nsi, nil
 		}

@@ -176,8 +176,8 @@ func TestTierForcedDeoptMidLoop(t *testing.T) {
 }
 
 // TestTierConfigSurface pins the knob defaults: threshold 0 means
-// DefaultTierThreshold, the compiled engine parses, and EngineUsed
-// reports the capability on the Result.
+// DefaultTierThreshold, the compiled engine parses, and Result.Engine
+// names it.
 func TestTierConfigSurface(t *testing.T) {
 	if vm.DefaultTierThreshold != 64 {
 		t.Errorf("DefaultTierThreshold = %d, want 64", vm.DefaultTierThreshold)

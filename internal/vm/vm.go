@@ -30,7 +30,10 @@ const (
 	GCIncremental
 )
 
-// Engine selects the execution engine.
+// Engine selects the execution engine. A run always executes on the
+// engine its Config names: every engine starts from the same decode of
+// the program, so a program that does not decode (possible only for
+// unverified bytecode) makes Run return a *DecodeError on all of them.
 type Engine int
 
 const (
@@ -38,13 +41,13 @@ const (
 	// bytecode is translated at VM construction into a dense internal form
 	// with resolved operands (field offsets, call targets, site records),
 	// hot instruction sequences are fused into superinstructions, and
-	// frames are pooled. Results are bit-identical to EngineSwitch. When a
-	// program cannot be decoded (unresolved references), the VM silently
-	// falls back to the switch interpreter, which reports the failure with
-	// its usual runtime errors.
+	// frames are pooled. Results are bit-identical to EngineSwitch.
 	EngineFused Engine = iota
 	// EngineSwitch is the reference interpreter: a giant switch over the
-	// raw bytecode, kept as the differential-testing baseline.
+	// raw bytecode, kept as the differential-testing baseline. Of the
+	// decoded program it uses only the call targets and the store-site
+	// records, and so shares the store-barrier path with the other
+	// engines.
 	EngineSwitch
 	// EngineCompiled is the tiered execution engine: methods start on
 	// fused dispatch and, once their exec counter (entries + loop
@@ -57,8 +60,7 @@ const (
 	// back-edges, branches, calls); a segment that does not fit the
 	// remaining quantum or budget deopts to fused dispatch for the tail,
 	// so thread interleaving and results stay bit-identical to the other
-	// engines. The runtime elision oracle disables tier-up entirely
-	// (oracle runs execute on fused dispatch with identical semantics).
+	// engines, with or without the runtime elision oracle.
 	EngineCompiled
 )
 
@@ -125,12 +127,12 @@ type Config struct {
 	// ForceMarkingAlways keeps a marking cycle permanently active
 	// (starting a new cycle as soon as one finishes).
 	ForceMarkingAlways bool
-	// CheckElisions enables the runtime elision-soundness oracle: every
-	// elided reference store asserts the analysis claim that justified
-	// the elision (overwritten slot null / null-or-same, target object
-	// still thread-local). A contradicted claim aborts the run with a
-	// structured *SoundnessViolation instead of silently corrupting
-	// marking.
+	// CheckElisions enables the runtime elision-soundness oracle on any
+	// engine, compiled code included: every elided reference store
+	// asserts the analysis claim that justified the elision (overwritten
+	// slot null / null-or-same, target object still thread-local). A
+	// contradicted claim aborts the run with a structured
+	// *SoundnessViolation instead of silently corrupting marking.
 	CheckElisions bool
 	// TierThreshold is the hot-method exec count (method entries + loop
 	// back-edges observed on fused dispatch) at which EngineCompiled
@@ -167,9 +169,10 @@ type Result struct {
 	// ElisionChecks counts elided-store executions validated by the
 	// soundness oracle (0 unless Config.CheckElisions was set).
 	ElisionChecks int64
-	// Engine names the execution engine that produced the result
-	// ("fused", "switch", or "compiled"); informational only, never part
-	// of the semantics.
+	// Engine names the configured execution engine that produced the
+	// result ("fused", "switch", or "compiled"; a compiled run reports
+	// "compiled" even when no method crossed the hot threshold — TierUps
+	// says how many did). Informational only, never part of the semantics.
 	Engine string
 	// Flavor names the barrier flavor the run executed under
 	// (satb.BarrierSpec.Name).
@@ -203,6 +206,7 @@ func (e *RuntimeError) Error() string {
 
 type frame struct {
 	m      *bytecode.Method
+	d      *dmethod // m's decoded form (store-site records, call targets)
 	pc     int
 	locals []heap.Value
 	stack  []heap.Value
@@ -236,11 +240,12 @@ type VM struct {
 	spec     *satb.BarrierSpec
 	checkInv bool
 
-	// dprog is the pre-decoded program (nil when the switch engine is
-	// selected or the program could not be decoded); fthreads are the
-	// fused engine's threads.
-	dprog    *dprogram
-	fthreads []*fthread
+	// dprog is the pre-decoded program every engine runs from (nil when
+	// the program could not be decoded; decodeErr then says why and Run
+	// returns it); fthreads are the fused and compiled engines' threads.
+	dprog     *dprogram
+	decodeErr error
+	fthreads  []*fthread
 
 	steps          int64
 	maxSteps       int64
@@ -257,9 +262,10 @@ type VM struct {
 	cycleSpan  obs.Span
 
 	// Compiled-tier state (EngineCompiled only). tierThreshold is the
-	// resolved hot counter; tierOff is set by a forced deopt and
-	// permanently pins execution to fused dispatch; the counters feed
-	// Result and the observability registry.
+	// resolved hot counter; tierOff pins execution to fused dispatch —
+	// from the start on the fused engine, after a forced deopt on the
+	// compiled one; the counters feed Result and the observability
+	// registry.
 	tierThreshold int64
 	tierOff       bool
 	tierUps       int
@@ -299,6 +305,7 @@ func New(p *bytecode.Program, cfg Config) *VM {
 		counters:      satb.NewCounters(),
 		maxSteps:      cfg.MaxSteps,
 		tierThreshold: cfg.TierThreshold,
+		tierOff:       cfg.Engine != EngineCompiled,
 		spec:          cfg.Barrier.Spec(),
 	}
 	v.checkInv = cfg.CheckInvariant && v.spec.SnapshotSound
@@ -311,24 +318,16 @@ func New(p *bytecode.Program, cfg Config) *VM {
 	if cfg.CheckElisions {
 		v.oracle = newOracle(v.heap, v.spec)
 	}
-	if cfg.Engine != EngineSwitch {
-		// Decode failures (unresolved refs, missing main) fall back to the
-		// switch interpreter, which reports them as runtime errors.
-		sp := obs.StartSpan("main", "pipeline", "decode")
-		d, err := decodeProgram(p, v.heap.Layout(), v.projectElide)
-		if err == nil {
-			v.dprog = d
-		}
-		sp.EndArgs(obs.KV{K: "ok", V: b2i(err == nil)})
-	}
+	sp := obs.StartSpan("main", "pipeline", "decode")
+	v.dprog, v.decodeErr = v.decode()
+	sp.EndArgs(obs.KV{K: "ok", V: b2i(v.decodeErr == nil)})
 	return v
 }
 
 // projectElide maps an instruction's analysis verdict through the barrier
 // flavor's soundness predicate: verdicts the flavor cannot honor keep
-// their barrier. Engines call it once per site — at decode/compile time
-// or per switch-interpreter store — so flavor soundness costs nothing on
-// the decoded fast paths.
+// their barrier. Decode calls it once per site, so flavor soundness costs
+// nothing at execution time.
 func (v *VM) projectElide(in *bytecode.Instr) satb.ElideKind {
 	k := elideKind(in)
 	if v.cfg.ForceRawElide {
@@ -337,19 +336,63 @@ func (v *VM) projectElide(in *bytecode.Instr) satb.ElideKind {
 	return v.spec.Project(k)
 }
 
-// EngineUsed reports the engine this VM actually executes with (the fused
-// and compiled engines fall back to the switch interpreter on undecodable
-// programs). A compiled-tier VM reports "compiled" even when no method
-// crossed the hot threshold — tier capability, not tier occupancy; the
-// Result's TierUps says how many methods actually compiled.
-func (v *VM) EngineUsed() Engine {
-	if v.dprog != nil {
-		if v.cfg.Engine == EngineCompiled {
-			return EngineCompiled
+// storeBarrier is the store-barrier path of every reference field and
+// array store in all three engines, compiled code included: the oracle's
+// check of the site's elision claim (when armed), then the site's barrier
+// under the run's flavor. A raw site only counts its execution — the
+// compile-time elision proof paying off — and every other site runs the
+// shared satb.BarrierSiteSpec, so cost, logging, shading and card
+// accounting have one implementation. tid is the storing thread.
+func (v *VM) storeBarrier(rec *siteRec, tid int, pre, newR, target heap.Ref) error {
+	if v.oracle != nil {
+		if err := v.oracle.checkStore(rec, tid, pre, newR, target); err != nil {
+			return err
 		}
-		return EngineFused
 	}
-	return EngineSwitch
+	st := rec.stats
+	if st == nil {
+		st = v.counters.Site(rec.key, rec.kind, rec.elide)
+		rec.stats = st
+	}
+	if !rec.raw {
+		v.counters.BarrierSiteSpec(v.spec, v.logger(), st, rec.elide, pre, newR, target)
+		return nil
+	}
+	st.Execs++
+	if pre == heap.Null {
+		st.PreNull++
+	}
+	if pre == heap.Null || pre == newR {
+		st.NullOrSame++
+	}
+	return nil
+}
+
+// allocated is the allocation hook of every engine: it counts the new
+// object toward the GC trigger and records its site (dm at pc) and owning
+// thread with the oracle. It returns the reference as a stack value.
+func (v *VM) allocated(r heap.Ref, dm *dmethod, pc int32, tid int) heap.Value {
+	v.allocSinceGC++
+	if v.oracle != nil {
+		v.oracle.noteAlloc(r, dm.name, pc, tid)
+	}
+	return heap.RefVal(r)
+}
+
+// publish is the publication hook of every engine: r, and everything it
+// reaches, has become visible beyond its allocating thread (stored into
+// a static or handed to a spawned thread).
+func (v *VM) publish(r heap.Ref) {
+	if v.oracle != nil {
+		v.oracle.escape(r)
+	}
+}
+
+// staticStore runs a reference putstatic's barrier. Statics are globally
+// reachable, so the stored object is published first.
+func (v *VM) staticStore(pre, newR heap.Ref) {
+	v.publish(newR)
+	v.counters.StaticBarrierSpec(v.spec, v.logger(), pre, newR)
 }
 
 // Heap exposes the heap (tests and tools).
@@ -383,7 +426,7 @@ func (v *VM) Run() (*Result, error) {
 	sp := obs.StartSpan("vm", "vm", "run")
 	res, err := v.run()
 	if sp.Recording() {
-		sp.EndArgs(obs.KV{K: "engine", S: v.EngineUsed().String()},
+		sp.EndArgs(obs.KV{K: "engine", S: v.cfg.Engine.String()},
 			obs.KV{K: "steps", V: v.steps},
 			obs.KV{K: "cycles", V: int64(v.cycles)})
 		v.publishObs(err == nil)
@@ -391,23 +434,56 @@ func (v *VM) Run() (*Result, error) {
 	return res, err
 }
 
+// run executes the program on the configured engine.
 func (v *VM) run() (*Result, error) {
-	if v.dprog != nil {
-		if v.tierEnabled() {
-			return v.runTiered()
-		}
-		return v.runFused()
+	if v.decodeErr != nil {
+		return nil, v.decodeErr
 	}
-	return v.runSwitch()
+	main := v.dprog.main
+	if main == nil {
+		return nil, fmt.Errorf("vm: no main method %s", v.prog.Main)
+	}
+	if v.cfg.Engine == EngineSwitch {
+		v.threads = []*thread{{frames: []*frame{newFrame(main)}, span: threadSpan(0)}}
+		return v.schedule(func() int { return len(v.threads) },
+			func(i int) bool { return v.threads[i].done },
+			func(i int) error { return v.runQuantum(v.threads[i]) })
+	}
+	v.fthreads = []*fthread{{frames: []*fframe{main.acquire()}, span: threadSpan(0)}}
+	return v.schedule(func() int { return len(v.fthreads) },
+		func(i int) bool { return v.fthreads[i].done },
+		func(i int) error { return v.runDecodedQuantum(v.fthreads[i]) })
 }
 
-// tierEnabled reports whether this run may tier methods up to compiled
-// code. The runtime elision oracle instruments every elided store with
-// per-object shadow checks the compiled store paths deliberately omit, so
-// oracle runs stay on fused dispatch — the tier's deopt target — with
-// identical semantics.
-func (v *VM) tierEnabled() bool {
-	return v.cfg.Engine == EngineCompiled && v.oracle == nil
+// schedule is the scheduler loop all engines share: round-robin over the
+// live threads (one spawned during a pass first runs in the next), one
+// quantum each, a collector tick after every quantum, until no thread is
+// live.
+func (v *VM) schedule(threads func() int, done func(int) bool, quantum func(int) error) (*Result, error) {
+	if v.cfg.ForceMarkingAlways && v.marker != nil {
+		v.startCycle()
+	}
+	for ran := true; ran; {
+		ran = false
+		for i, n := 0, threads(); i < n; i++ {
+			if done(i) {
+				continue
+			}
+			if err := v.cancelled(); err != nil {
+				return nil, err
+			}
+			if err := quantum(i); err != nil {
+				return nil, err
+			}
+			v.gcTick()
+			ran = true
+		}
+	}
+	// Wind down any active cycle.
+	if v.marker != nil && v.marker.MarkingActive() {
+		v.finishCycle()
+	}
+	return v.result(), nil
 }
 
 // publishObs flushes the run's execution counters into the observability
@@ -416,7 +492,7 @@ func (v *VM) tierEnabled() bool {
 // the enabled path's overhead is O(sites), not O(instructions).
 func (v *VM) publishObs(ok bool) {
 	obs.Count("vm.runs", 1)
-	obs.Count("vm.engine."+v.EngineUsed().String(), 1)
+	obs.Count("vm.engine."+v.cfg.Engine.String(), 1)
 	obs.Count("vm.steps", v.steps)
 	obs.Count("vm.cycles", int64(v.cycles))
 	obs.Count("vm.final_pause_work", int64(v.finalPauseWork))
@@ -482,48 +558,7 @@ func threadSpan(id int) obs.Span {
 	return obs.StartSpan(fmt.Sprintf("vm/thread%d", id), "vm", "thread")
 }
 
-// runSwitch executes the program on the reference switch interpreter.
-func (v *VM) runSwitch() (*Result, error) {
-	main := v.prog.Method(v.prog.Main)
-	if main == nil {
-		return nil, fmt.Errorf("vm: no main method %s", v.prog.Main)
-	}
-	v.threads = []*thread{{frames: []*frame{newFrame(main)}, span: threadSpan(0)}}
-	if v.cfg.ForceMarkingAlways && v.marker != nil {
-		v.startCycle()
-	}
-
-	for {
-		live := 0
-		for _, t := range v.threads {
-			if !t.done {
-				live++
-			}
-		}
-		if live == 0 {
-			break
-		}
-		for _, t := range v.threads {
-			if t.done {
-				continue
-			}
-			if err := v.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := v.runQuantum(t); err != nil {
-				return nil, err
-			}
-			v.gcTick()
-		}
-	}
-	// Wind down any active cycle.
-	if v.marker != nil && v.marker.MarkingActive() {
-		v.finishCycle()
-	}
-	return v.result(), nil
-}
-
-// result assembles the Result shared by both engines.
+// result assembles the Result of a completed run.
 func (v *VM) result() *Result {
 	res := &Result{
 		Output:         v.output,
@@ -533,7 +568,7 @@ func (v *VM) result() *Result {
 		FinalPauseWork: v.finalPauseWork,
 		Allocated:      v.heap.Allocated,
 		Swept:          v.swept,
-		Engine:         v.EngineUsed().String(),
+		Engine:         v.cfg.Engine.String(),
 		Flavor:         v.spec.Name,
 		TierUps:        v.tierUps,
 		TierDeopts:     v.tierDeopts,
@@ -545,8 +580,8 @@ func (v *VM) result() *Result {
 	return res
 }
 
-func newFrame(m *bytecode.Method) *frame {
-	return &frame{m: m, locals: make([]heap.Value, m.NumSlots), stack: make([]heap.Value, 0, m.MaxStack+4)}
+func newFrame(dm *dmethod) *frame {
+	return &frame{m: dm.src, d: dm, locals: make([]heap.Value, dm.numSlots), stack: make([]heap.Value, 0, dm.stackCap)}
 }
 
 // roots collects the current GC roots: every reference in every thread's
@@ -825,15 +860,9 @@ func (v *VM) step(t *thread) error {
 			return v.errf(f, "%v", err)
 		}
 		if v.prog.FieldType(in.Field).IsRef() {
-			elide := v.projectElide(in)
-			if v.oracle != nil {
-				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old.R, val.R, obj.R); err != nil {
-					return err
-				}
+			if err := v.storeBarrier(f.site(), t.id, old.R, val.R, obj.R); err != nil {
+				return err
 			}
-			key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
-			v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.FieldSite, elide),
-				elide, old.R, val.R, obj.R)
 		}
 	case bytecode.OpGetStatic:
 		val := v.heap.GetStatic(in.Field)
@@ -845,12 +874,7 @@ func (v *VM) step(t *thread) error {
 		val := pop()
 		old := v.heap.SetStatic(in.Field, val)
 		if v.prog.FieldType(in.Field).IsRef() {
-			if v.oracle != nil {
-				// Statics are globally reachable: the stored object (and
-				// everything it reaches) is published.
-				v.oracle.escape(val.R)
-			}
-			v.counters.StaticBarrierSpec(v.spec, v.logger(), old.R, val.R)
+			v.staticStore(old.R, val.R)
 		}
 
 	case bytecode.OpNewInstance:
@@ -858,11 +882,7 @@ func (v *VM) step(t *thread) error {
 		if err != nil {
 			return v.errf(f, "%v", err)
 		}
-		v.allocSinceGC++
-		if v.oracle != nil {
-			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
-		}
-		push(heap.RefVal(r))
+		push(v.allocated(r, f.d, int32(f.pc), t.id))
 	case bytecode.OpNewArray:
 		n := pop().I
 		if n < 0 {
@@ -872,11 +892,7 @@ func (v *VM) step(t *thread) error {
 		if err != nil {
 			return v.errf(f, "%v", err)
 		}
-		v.allocSinceGC++
-		if v.oracle != nil {
-			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
-		}
-		push(heap.RefVal(r))
+		push(v.allocated(r, f.d, int32(f.pc), t.id))
 	case bytecode.OpArrayLength:
 		arr := pop()
 		if arr.R == heap.Null {
@@ -913,15 +929,9 @@ func (v *VM) step(t *thread) error {
 		if err != nil {
 			return v.errf(f, "%v", err)
 		}
-		elide := v.projectElide(in)
-		if v.oracle != nil {
-			if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old.R, val.R, arr.R); err != nil {
-				return err
-			}
+		if err := v.storeBarrier(f.site(), t.id, old.R, val.R, arr.R); err != nil {
+			return err
 		}
-		key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
-		v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.ArraySite, elide),
-			elide, old.R, val.R, arr.R)
 	case bytecode.OpIAStore:
 		val := pop()
 		idx := pop().I
@@ -934,16 +944,12 @@ func (v *VM) step(t *thread) error {
 		}
 
 	case bytecode.OpInvoke:
-		callee := v.prog.Method(in.Method)
-		if callee == nil {
-			return v.errf(f, "unresolved method %s", in.Method)
-		}
+		callee := f.callee()
 		nf := newFrame(callee)
-		n := callee.NumArgs()
-		for i := n - 1; i >= 0; i-- {
+		for i := callee.numArgs - 1; i >= 0; i-- {
 			nf.locals[i] = pop()
 		}
-		if !callee.Static && nf.locals[0].R == heap.Null {
+		if !callee.static && nf.locals[0].R == heap.Null {
 			return v.errf(f, "null receiver calling %s", in.Method)
 		}
 		f.pc++
@@ -954,17 +960,9 @@ func (v *VM) step(t *thread) error {
 		if recv.R == heap.Null {
 			return v.errf(f, "null receiver in spawn")
 		}
-		callee := v.prog.Method(in.Method)
-		if callee == nil {
-			return v.errf(f, "unresolved method %s", in.Method)
-		}
-		nf := newFrame(callee)
+		nf := newFrame(f.callee())
 		nf.locals[0] = recv
-		if v.oracle != nil {
-			// The receiver (and everything it reaches) becomes visible to
-			// the spawned thread.
-			v.oracle.escape(recv.R)
-		}
+		v.publish(recv.R)
 		v.threads = append(v.threads, &thread{id: len(v.threads), frames: []*frame{nf}, span: threadSpan(len(v.threads))})
 	case bytecode.OpReturn:
 		t.frames = t.frames[:len(t.frames)-1]
@@ -990,6 +988,12 @@ func (v *VM) step(t *thread) error {
 	f.pc++
 	return nil
 }
+
+// site returns the decoded store-site record of the frame's current pc.
+func (f *frame) site() *siteRec { return &f.d.sites[f.d.code[f.pc].b] }
+
+// callee returns the decoded call target of the frame's current pc.
+func (f *frame) callee() *dmethod { return f.d.callees[f.d.code[f.pc].a].m }
 
 // elideKind maps instruction flags to the barrier verdict.
 func elideKind(in *bytecode.Instr) satb.ElideKind {

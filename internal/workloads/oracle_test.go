@@ -15,7 +15,8 @@ import (
 // rests on: every workload, under every analysis configuration and every
 // inline limit of §4.4, runs to completion with the runtime elision
 // oracle enabled and zero violations — each elided store dynamically
-// overwrote null (or the same reference) on a thread-local target.
+// overwrote null (or the same reference) on a thread-local target. The
+// runs use the compiled engine, so compiled elided stores are checked too.
 func TestOracleAllWorkloads(t *testing.T) {
 	configs := []struct {
 		name string
@@ -49,6 +50,7 @@ func TestOracleAllWorkloads(t *testing.T) {
 						TriggerEveryAllocs: 256,
 						CheckInvariant:     true,
 						CheckElisions:      true,
+						Engine:             vm.EngineCompiled,
 					})
 					if err != nil {
 						t.Fatalf("oracle violation: %v", err)
