@@ -44,7 +44,7 @@ func buildWorkload(b *testing.B, name string, inlineLimit int, opts core.Options
 
 func runBuild(b *testing.B, bd *pipeline.Build, cfg vm.Config) *vm.Result {
 	b.Helper()
-	res, err := bd.Run(cfg)
+	res, err := vm.New(bd.Program, cfg).Run()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func BenchmarkFig2_Limit200_A(b *testing.B) { benchFig2(b, 200, core.ModeFieldAr
 func BenchmarkFig3(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		rows, err := report.Figure3(report.DefaultInlineLimit)
+		rows, err := report.Figure3.Rows(report.NewRunner(report.Settings{InlineLimit: report.DefaultInlineLimit}))
 		if err != nil {
 			b.Fatal(err)
 		}

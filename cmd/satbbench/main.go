@@ -47,19 +47,15 @@ import (
 
 func main() {
 	all := flag.Bool("all", false, "run every experiment")
-	t1 := flag.Bool("table1", false, "Table 1: dynamic barrier elimination")
-	t2 := flag.Bool("table2", false, "Table 2: jbb end-to-end barrier cost")
-	f2 := flag.Bool("fig2", false, "Figure 2: inline limit sweep")
-	f3 := flag.Bool("fig3", false, "Figure 3: compiled code size")
-	nos := flag.Bool("nullorsame", false, "§4.3 null-or-same measurements")
-	rearr := flag.Bool("rearrange", false, "§4.3 array-rearrangement measurements")
-	barriers := flag.Bool("barriers", false, "cross-flavor barrier matrix (yuasa/dijkstra/hybrid/... elimination and cost per workload)")
-	interp := flag.Bool("interprocedural", false, "escape-summary recovery at inline limit 0")
+	selected := map[report.Section]*bool{}
+	for _, e := range report.Experiments {
+		name, usage := e.Flag()
+		selected[e] = flag.Bool(name, false, usage)
+	}
 	interpAlias := flag.Bool("interproc", false, "alias for -interprocedural")
-	perf := flag.Bool("perf", false, "compile-side performance snapshot (stage times, block visits)")
-	vmperf := flag.Bool("vmperf", false, "VM execution-engine performance (compiled vs fused vs switch: instr/s, ns/instr, allocs/op, tier counters)")
-	oracle := flag.Bool("oracle", false, "soundness oracle: validate every elided store at runtime")
-	inlineLimit := flag.Int("inline", report.DefaultInlineLimit, "inline limit for Table 1/2, Figure 3, perf, oracle")
+	inlineLimit := flag.Int("inline", report.DefaultInlineLimit,
+		"inline limit for Table 1/2, Figure 3, null-or-same, rearrange, barriers, perf, vmperf and oracle "+
+			"(Figure 2 sweeps its fixed limits 0-200; interprocedural uses 0 and 100)")
 	workers := flag.Int("workers", 0, "per-method analysis fan-out (0 = GOMAXPROCS)")
 	deadline := flag.Duration("deadline", 0, "per-method analysis wall-clock budget (0 = unlimited); over-budget methods keep all barriers")
 	strict := flag.Bool("strict", false, "exit nonzero if any method degraded or the oracle found a violation (implies -oracle)")
@@ -68,123 +64,38 @@ func main() {
 	ob.RegisterFlags()
 	flag.Parse()
 
-	if *strict {
-		*oracle = true
+	*selected[report.Oracle] = *selected[report.Oracle] || *strict
+	*selected[report.Interprocedural] = *selected[report.Interprocedural] || *interpAlias
+	chosen := false
+	for _, on := range selected {
+		*on = *on || *all
+		chosen = chosen || *on
 	}
-	if *interpAlias {
-		*interp = true
-	}
-	if *all {
-		*t1, *t2, *f2, *f3, *nos, *rearr, *barriers, *interp, *perf, *vmperf, *oracle = true, true, true, true, true, true, true, true, true, true, true
-	}
-	if !*t1 && !*t2 && !*f2 && !*f3 && !*nos && !*rearr && !*barriers && !*interp && !*perf && !*vmperf && !*oracle {
+	if !chosen {
 		fmt.Fprintln(os.Stderr, "usage: satbbench [-all] [-table1] [-table2] [-fig2] [-fig3] [-nullorsame] [-rearrange] [-barriers] [-interprocedural] [-perf] [-vmperf] [-oracle] [-strict] [-deadline D] [-json FILE] [-trace FILE] [-metrics FILE]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
 
-	report.AnalysisDeadline = *deadline
 	ob.Start()
 
 	out := report.NewDocument("satbbench")
 	out.InlineLimit = *inlineLimit
 	out.Workers = *workers
-
-	if *perf {
-		rows, err := report.Perf(*inlineLimit, *workers)
+	runner := report.NewRunner(report.Settings{InlineLimit: *inlineLimit, Workers: *workers, Deadline: *deadline})
+	for _, e := range report.Experiments {
+		if !*selected[e] {
+			continue
+		}
+		text, err := e.Emit(runner, out)
 		if err != nil {
 			fatal(err)
 		}
-		out.Perf = rows
-		fmt.Println(report.FormatPerf(rows))
+		fmt.Println(text)
 	}
-	if *t1 {
-		rows, err := report.Table1(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.Table1 = rows
-		fmt.Println(report.FormatTable1(rows))
-	}
-	if *t2 {
-		rows, err := report.Table2(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.Table2 = rows
-		fmt.Println(report.FormatTable2(rows))
-	}
-	if *f2 {
-		points, err := report.Figure2(nil)
-		if err != nil {
-			fatal(err)
-		}
-		out.Figure2 = points
-		fmt.Println(report.FormatFigure2(points))
-	}
-	if *f3 {
-		rows, err := report.Figure3(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.Figure3 = rows
-		fmt.Println(report.FormatFigure3(rows))
-	}
-	if *nos {
-		rows, err := report.NullOrSame(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.NullOrSame = rows
-		fmt.Println(report.FormatNullOrSame(rows))
-	}
-	if *rearr {
-		rows, err := report.Rearrangement(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.Rearrange = rows
-		fmt.Println(report.FormatRearrangement(rows))
-	}
-	if *barriers {
-		rows, err := report.Barriers(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.Barriers = rows
-		fmt.Println(report.FormatBarriers(rows))
-	}
-	if *interp {
-		rows, err := report.Interprocedural()
-		if err != nil {
-			fatal(err)
-		}
-		out.Interprocedural = rows
-		fmt.Println(report.FormatInterprocedural(rows))
-	}
-	if *vmperf {
-		rows, err := report.VMPerf(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.VMPerf = rows
-		out.VMPerfGeomeanSpeedup = report.VMPerfGeomeanSpeedup(rows)
-		out.VMPerfGeomeanCompiledOverFused = report.VMPerfGeomeanCompiledOverFused(rows)
-		fmt.Println(report.FormatVMPerf(rows))
-	}
-	var oracleFailed bool
-	if *oracle {
-		rows, err := report.Oracle(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.Oracle = rows
-		fmt.Println(report.FormatOracle(rows))
-		for _, r := range rows {
-			if !r.Clean() || len(r.Degraded) > 0 {
-				oracleFailed = true
-			}
-		}
+	oracleFailed := false
+	for _, r := range out.Oracle {
+		oracleFailed = oracleFailed || !r.Clean() || len(r.Degraded) > 0
 	}
 
 	cs := pipeline.DefaultCache.Stats()

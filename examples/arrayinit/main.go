@@ -62,7 +62,7 @@ func main() {
 				fmt.Printf("  expand pc %d aastore: %s\n", pc, verdict)
 			}
 		}
-		res, err := build.Run(vm.Config{Barrier: satb.ModeConditional})
+		res, err := vm.New(build.Program, vm.Config{Barrier: satb.ModeConditional}).Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,13 +51,13 @@ func run(name string, analysis core.Options, barrier satb.BarrierMode, kind vm.G
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := build.Run(vm.Config{
+	res, err := vm.New(build.Program, vm.Config{
 		Barrier:            barrier,
 		GC:                 kind,
 		TriggerEveryAllocs: 120,
 		MarkStepBudget:     8,
 		CheckInvariant:     kind == vm.GCSATB,
-	})
+	}).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

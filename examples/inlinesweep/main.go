@@ -33,7 +33,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := b.Run(vm.Config{Barrier: satb.ModeConditional})
+			res, err := vm.New(b.Program, vm.Config{Barrier: satb.ModeConditional}).Run()
 			if err != nil {
 				log.Fatal(err)
 			}

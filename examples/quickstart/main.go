@@ -55,7 +55,7 @@ func main() {
 	fmt.Println("\n== static analysis report ==")
 	fmt.Print(build.Report.String())
 
-	res, err := build.Run(vm.Config{Barrier: satb.ModeConditional})
+	res, err := vm.New(build.Program, vm.Config{Barrier: satb.ModeConditional}).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cs := pipeline.Stats()
+	cs := pipeline.DefaultCache.Stats()
 	fmt.Printf("recompile cache hit: %v (%d hits / %d misses)\n",
 		again.CacheHit, cs.Hits, cs.Misses)
 }

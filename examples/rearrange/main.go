@@ -30,13 +30,13 @@ func run(rearrange bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := build.Run(vm.Config{
+	res, err := vm.New(build.Program, vm.Config{
 		Barrier:            satb.ModeConditional,
 		GC:                 vm.GCSATB,
 		TriggerEveryAllocs: 150,
 		MarkStepBudget:     4,
 		CheckInvariant:     true,
-	})
+	}).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,14 +65,14 @@ func TestLoopAllocDemotionLimitsElision(t *testing.T) {
 	if fieldElided != 1 {
 		t.Fatalf("fieldElided = %d, want 1 (only the fresh-object store)", fieldElided)
 	}
-	res, err := b.Run(vm.Config{
+	res, err := vm.New(b.Program, vm.Config{
 		Barrier:            satb.ModeConditional,
 		GC:                 vm.GCSATB,
 		TriggerEveryAllocs: 2,
 		CheckInvariant:     true,
 		CheckElisions:      true,
 		MaxSteps:           1_000_000,
-	})
+	}).Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -106,13 +106,13 @@ func TestUnsoundSkipBDemotionReopensHole(t *testing.T) {
 	if same {
 		t.Fatal("injected bug did not change any elision decision")
 	}
-	_, err := b.Run(vm.Config{
+	_, err := vm.New(b.Program, vm.Config{
 		Barrier:            satb.ModeConditional,
 		GC:                 vm.GCSATB,
 		TriggerEveryAllocs: 2,
 		CheckElisions:      true,
 		MaxSteps:           1_000_000,
-	})
+	}).Run()
 	var sv *vm.SoundnessViolation
 	if !errors.As(err, &sv) {
 		t.Fatalf("oracle missed the injected /B-demotion bug (err=%v)", err)
@@ -149,14 +149,14 @@ class Main {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := b.Run(vm.Config{
+	res, err := vm.New(b.Program, vm.Config{
 		Barrier:            satb.ModeConditional,
 		GC:                 vm.GCSATB,
 		TriggerEveryAllocs: 2,
 		CheckInvariant:     true,
 		CheckElisions:      true,
 		MaxSteps:           1_000_000,
-	})
+	}).Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

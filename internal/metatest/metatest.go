@@ -103,7 +103,7 @@ func runsStandalone(src string) bool {
 	if err != nil {
 		return false
 	}
-	_, err = b.Run(vm.Config{Barrier: satb.ModeConditional, MaxSteps: maxSteps})
+	_, err = vm.New(b.Program, vm.Config{Barrier: satb.ModeConditional, MaxSteps: maxSteps}).Run()
 	return err == nil
 }
 
@@ -131,12 +131,12 @@ func checkEngineInvariance(src string, analysis core.Options) error {
 	var results []*vm.Result
 	engines := []vm.Engine{vm.EngineFused, vm.EngineSwitch, vm.EngineCompiled}
 	for _, engine := range engines {
-		res, err := b.Run(vm.Config{
+		res, err := vm.New(b.Program, vm.Config{
 			Engine:        engine,
 			Barrier:       satb.ModeConditional,
 			MaxSteps:      maxSteps,
 			TierThreshold: tierThreshold,
-		})
+		}).Run()
 		if err != nil {
 			return &Violation{Prop: "engine-invariance", Msg: fmt.Sprintf("engine %v: %v", engine, err)}
 		}
@@ -175,7 +175,7 @@ func checkBarrierModeInvariance(src string, analysis core.Options) error {
 	var base []int64
 	for i, cfg := range configs {
 		cfg.MaxSteps = maxSteps
-		res, err := b.Run(cfg)
+		res, err := vm.New(b.Program, cfg).Run()
 		if err != nil {
 			return &Violation{Prop: "barrier-mode-invariance",
 				Msg: fmt.Sprintf("config %d (%v/%v): %v", i, cfg.Barrier, cfg.GC, err)}
@@ -202,7 +202,7 @@ func checkInlineSoundness(src string, analysis core.Options) error {
 		if err != nil {
 			return err
 		}
-		res, err := b.Run(oracleConfig())
+		res, err := vm.New(b.Program, oracleConfig()).Run()
 		if err != nil {
 			return &Violation{Prop: "inline-soundness",
 				Msg: fmt.Sprintf("limit %d: %v", limit, err)}
@@ -240,11 +240,11 @@ func checkDeadStoreMonotone(src string, analysis core.Options) error {
 		return fmt.Errorf("dead-store mutant failed to compile: %w", err)
 	}
 	cfg := vm.Config{Barrier: satb.ModeConditional, CheckElisions: true, MaxSteps: maxSteps}
-	origRes, err := orig.Run(cfg)
+	origRes, err := vm.New(orig.Program, cfg).Run()
 	if err != nil {
 		return &Violation{Prop: "dead-store-monotone", Msg: fmt.Sprintf("original: %v", err)}
 	}
-	mutRes, err := mut.Run(cfg)
+	mutRes, err := vm.New(mut.Program, cfg).Run()
 	if err != nil {
 		return &Violation{Prop: "dead-store-monotone", Msg: fmt.Sprintf("mutant: %v", err)}
 	}
@@ -277,11 +277,11 @@ func checkReorderInvariance(src string, analysis core.Options) error {
 		return fmt.Errorf("reorder mutant failed to compile: %w", err)
 	}
 	cfg := vm.Config{Barrier: satb.ModeConditional, MaxSteps: maxSteps}
-	origRes, err := orig.Run(cfg)
+	origRes, err := vm.New(orig.Program, cfg).Run()
 	if err != nil {
 		return &Violation{Prop: "reorder-invariance", Msg: fmt.Sprintf("original: %v", err)}
 	}
-	mutRes, err := mut.Run(cfg)
+	mutRes, err := vm.New(mut.Program, cfg).Run()
 	if err != nil {
 		return &Violation{Prop: "reorder-invariance", Msg: fmt.Sprintf("mutant: %v", err)}
 	}
@@ -351,12 +351,12 @@ func checkSummarySoundness(src string, analysis core.Options) error {
 			Engine:             vm.EngineCompiled,
 			TierThreshold:      tierThreshold,
 		}
-		onRes, err := bOn.Run(cfg)
+		onRes, err := vm.New(bOn.Program, cfg).Run()
 		if err != nil {
 			return &Violation{Prop: "summary-soundness",
 				Msg: fmt.Sprintf("%v summaries-on: %v", pr.mode, err)}
 		}
-		offRes, err := bOff.Run(cfg)
+		offRes, err := vm.New(bOff.Program, cfg).Run()
 		if err != nil {
 			return &Violation{Prop: "summary-soundness",
 				Msg: fmt.Sprintf("%v summaries-off: %v", pr.mode, err)}
@@ -427,12 +427,12 @@ func checkFlavorSoundness(src string, analysis core.Options) error {
 			Engine:         vm.EngineCompiled,
 			TierThreshold:  tierThreshold,
 		}
-		eres, err := elided.Run(cfg)
+		eres, err := vm.New(elided.Program, cfg).Run()
 		if err != nil {
 			return &Violation{Prop: "flavor-soundness",
 				Msg: fmt.Sprintf("%v/%v elided: %v", pr.mode, pr.gc, err)}
 		}
-		fres, err := full.Run(cfg)
+		fres, err := vm.New(full.Program, cfg).Run()
 		if err != nil {
 			return &Violation{Prop: "flavor-soundness",
 				Msg: fmt.Sprintf("%v/%v all-barriers: %v", pr.mode, pr.gc, err)}

@@ -62,13 +62,13 @@ func TestDifferentialInlineWorkerOracle(t *testing.T) {
 			}
 			// Oracle run under concurrent marking: every elided store must
 			// overwrite null on an unescaped target.
-			res, err := b1.Run(vm.Config{
+			res, err := vm.New(b1.Program, vm.Config{
 				Barrier:            satb.ModeConditional,
 				GC:                 vm.GCSATB,
 				TriggerEveryAllocs: 64,
 				CheckInvariant:     true,
 				CheckElisions:      true,
-			})
+			}).Run()
 			if err != nil {
 				t.Fatalf("seed %d limit %d: oracle run failed: %v", si, limit, err)
 			}
@@ -102,11 +102,11 @@ func TestDifferentialDegradedStillCorrect(t *testing.T) {
 			t.Fatalf("seed %d starved: %v", si, err)
 		}
 		cfg := vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 64, CheckInvariant: true, CheckElisions: true}
-		rf, err := bf.Run(cfg)
+		rf, err := vm.New(bf.Program, cfg).Run()
 		if err != nil {
 			t.Fatalf("seed %d: %v", si, err)
 		}
-		rs, err := bs.Run(cfg)
+		rs, err := vm.New(bs.Program, cfg).Run()
 		if err != nil {
 			t.Fatalf("seed %d starved: %v", si, err)
 		}

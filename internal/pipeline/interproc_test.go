@@ -138,11 +138,11 @@ func TestInterprocDifferentialSweep(t *testing.T) {
 					CheckElisions:      true,
 					MaxSteps:           20_000_000,
 				}
-				onRes, err := builds[true].Run(cfg)
+				onRes, err := vm.New(builds[true].Program, cfg).Run()
 				if err != nil {
 					t.Fatalf("%s limit %d %v interproc: %v", name, limit, mode, err)
 				}
-				offRes, err := builds[false].Run(cfg)
+				offRes, err := vm.New(builds[false].Program, cfg).Run()
 				if err != nil {
 					t.Fatalf("%s limit %d %v plain: %v", name, limit, mode, err)
 				}

@@ -263,14 +263,6 @@ func verifyParallel(p *bytecode.Program, workers int) error {
 	return nil
 }
 
-// Run executes the built program on the VM under an explicit config.
-//
-// Deprecated: compatibility accessor — set Options.Runtime and call Exec
-// so the configuration lives on the one Options surface.
-func (b *Build) Run(cfg vm.Config) (*vm.Result, error) {
-	return vm.New(b.Program, cfg).Run()
-}
-
 // Exec executes the built program on the VM under Options.Runtime.
 func (b *Build) Exec() (*vm.Result, error) {
 	return vm.New(b.Program, b.Options.Runtime).Run()

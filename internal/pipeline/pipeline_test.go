@@ -40,7 +40,7 @@ func TestCompileProducesRunnableBuild(t *testing.T) {
 	if b.CompileTime() <= 0 {
 		t.Error("compile time not recorded")
 	}
-	res, err := b.Run(vm.Config{Barrier: satb.ModeConditional})
+	res, err := vm.New(b.Program, vm.Config{Barrier: satb.ModeConditional}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestGeneratedProgramsCompileVerifyAndRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		res, err := b.Run(vm.Config{MaxSteps: 20_000_000})
+		res, err := vm.New(b.Program, vm.Config{MaxSteps: 20_000_000}).Run()
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
@@ -44,7 +44,7 @@ func TestGeneratedProgramsInlineInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d limit %d: %v", seed, limit, err)
 			}
-			res, err := b.Run(vm.Config{MaxSteps: 20_000_000})
+			res, err := vm.New(b.Program, vm.Config{MaxSteps: 20_000_000}).Run()
 			if err != nil {
 				t.Fatalf("seed %d limit %d: %v", seed, limit, err)
 			}
@@ -71,7 +71,7 @@ func TestGeneratedProgramsElisionSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := b.Run(vm.Config{Barrier: satb.ModeConditional, MaxSteps: 20_000_000})
+		res, err := vm.New(b.Program, vm.Config{Barrier: satb.ModeConditional, MaxSteps: 20_000_000}).Run()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -100,14 +100,14 @@ func TestGeneratedProgramsSATBInvariant(t *testing.T) {
 					t.Fatalf("seed %d: SATB invariant violated: %v\n%s", seed, r, src)
 				}
 			}()
-			if _, err := b.Run(vm.Config{
+			if _, err := vm.New(b.Program, vm.Config{
 				Barrier:            satb.ModeConditional,
 				GC:                 vm.GCSATB,
 				TriggerEveryAllocs: 20,
 				MarkStepBudget:     3,
 				CheckInvariant:     true,
 				MaxSteps:           20_000_000,
-			}); err != nil {
+			}).Run(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}()
@@ -132,7 +132,7 @@ func TestGeneratedProgramsBarrierModeInvariance(t *testing.T) {
 			{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 30},
 		} {
 			cfg.MaxSteps = 20_000_000
-			res, err := b.Run(cfg)
+			res, err := vm.New(b.Program, cfg).Run()
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -165,14 +165,14 @@ func TestCampaignConfigIdiomsAppearAndRunSound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		res, err := b.Run(vm.Config{
+		res, err := vm.New(b.Program, vm.Config{
 			Barrier:            satb.ModeConditional,
 			GC:                 vm.GCSATB,
 			TriggerEveryAllocs: 64,
 			CheckInvariant:     true,
 			CheckElisions:      true,
 			MaxSteps:           20_000_000,
-		})
+		}).Run()
 		if err != nil {
 			t.Fatalf("seed %d: oracle run: %v\n%s", seed, err, src)
 		}
@@ -249,7 +249,7 @@ func TestGeneratedProgramsInterproceduralSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			res, err := b.Run(vm.Config{Barrier: satb.ModeConditional, MaxSteps: 20_000_000})
+			res, err := vm.New(b.Program, vm.Config{Barrier: satb.ModeConditional, MaxSteps: 20_000_000}).Run()
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

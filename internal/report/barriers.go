@@ -2,13 +2,10 @@ package report
 
 import (
 	"fmt"
-	"strings"
 
 	"satbelim/internal/core"
-	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
-	"satbelim/internal/workloads"
 )
 
 // BarrierRow is one (workload, flavor) cell of the cross-flavor barrier
@@ -43,85 +40,58 @@ type BarrierRow struct {
 	Relative    float64 `json:"relative"`
 }
 
-// barrierMatrixFlavors pairs every flavor with its natural collector:
-// the deletion-side and hybrid flavors uphold the SATB snapshot, the
-// card flavor serves the incremental-update marker, and the no-barrier
-// baseline runs uncollected (any marker would be unsound without a
-// barrier).
-func barrierMatrixFlavors() []struct {
-	Mode satb.BarrierMode
-	GC   vm.GCKind
-} {
-	return []struct {
-		Mode satb.BarrierMode
-		GC   vm.GCKind
-	}{
-		{satb.ModeNoBarrier, vm.GCNone},
-		{satb.ModeConditional, vm.GCSATB},
-		{satb.ModeAlwaysLog, vm.GCSATB},
-		{satb.ModeYuasa, vm.GCSATB},
-		{satb.ModeDijkstra, vm.GCSATB},
-		{satb.ModeHybrid, vm.GCSATB},
-		{satb.ModeCardMarking, vm.GCIncremental},
-	}
+// barrierFlavors pairs every flavor with its natural collector: the
+// deletion-side and hybrid flavors uphold the SATB snapshot, the card
+// flavor serves the incremental-update marker, and the no-barrier
+// baseline (first, the Relative denominator) runs uncollected (any
+// marker would be unsound without a barrier).
+var barrierFlavors = []struct {
+	mode   satb.BarrierMode
+	gc     vm.GCKind
+	gcName string
+}{
+	{satb.ModeNoBarrier, vm.GCNone, "none"},
+	{satb.ModeConditional, vm.GCSATB, "satb"},
+	{satb.ModeAlwaysLog, vm.GCSATB, "satb"},
+	{satb.ModeYuasa, vm.GCSATB, "satb"},
+	{satb.ModeDijkstra, vm.GCSATB, "satb"},
+	{satb.ModeHybrid, vm.GCSATB, "satb"},
+	{satb.ModeCardMarking, vm.GCIncremental, "inc"},
 }
 
-func gcName(k vm.GCKind) string {
-	switch k {
-	case vm.GCSATB:
-		return "satb"
-	case vm.GCIncremental:
-		return "inc"
-	default:
-		return "none"
-	}
-}
-
-// Barriers measures the cross-flavor matrix (the ISSUE's Table-1
-// analogue): every workload × every barrier flavor, compiled once per
-// workload with the full analysis (mode A + null-or-same + array
-// rearrangement) and executed under the flavor's natural collector.
-// Verdict projection happens in the VM, so one analysis serves all
-// flavors; the snapshot invariant is verified on every snapshot-sound
-// flavor.
-func Barriers(inlineLimit int) ([]BarrierRow, error) {
-	var rows []BarrierRow
-	opts := core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}
-	for _, w := range workloads.All() {
-		base := 0.0
-		for _, fc := range barrierMatrixFlavors() {
-			spec := fc.Mode.Spec()
-			b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-				InlineLimit: inlineLimit,
-				Analysis:    withBudget(opts),
-				Runtime: vm.Config{
-					Barrier:            fc.Mode,
-					GC:                 fc.GC,
-					TriggerEveryAllocs: 200,
-					CheckInvariant:     true, // armed only on snapshot-sound flavors
-				},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("barriers %s/%s: %w", w.Name, spec.Name, err)
-			}
-			res, err := b.Exec()
-			if err != nil {
-				return nil, fmt.Errorf("barriers %s/%s: %w", w.Name, spec.Name, err)
-			}
-			s := res.Counters.Summarize()
-			if len(s.UnsoundSites) > 0 {
-				return nil, fmt.Errorf("barriers %s/%s: unsound elisions %v", w.Name, spec.Name, s.UnsoundSites)
-			}
-			fv := core.FlavorSiteVerdicts(b.Program, spec)
-			tp := 1000 * float64(res.Steps) / float64(res.TotalCost())
-			if fc.Mode == satb.ModeNoBarrier {
-				base = tp
-			}
+// Barriers measures the cross-flavor matrix (a Table-1 analogue): every
+// workload × every barrier flavor, with one full analysis per workload
+// (mode A + null-or-same + array rearrangement) executed under the
+// flavor's natural collector. Verdict projection happens in the VM, so
+// one analysis serves all flavors; the snapshot invariant is verified on
+// every snapshot-sound flavor.
+var Barriers = &Experiment[BarrierRow]{
+	name:  "barriers",
+	usage: "cross-flavor barrier matrix (yuasa/dijkstra/hybrid/... elimination and cost per workload)",
+	cells: func(s Settings) []Cell {
+		opts := core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}
+		var variants []Cell
+		for _, f := range barrierFlavors {
+			variants = append(variants, Cell{Limit: s.InlineLimit, Analysis: opts, Run: &vm.Config{
+				Barrier:            f.mode,
+				GC:                 f.gc,
+				TriggerEveryAllocs: 200,
+				CheckInvariant:     true, // armed only on snapshot-sound flavors
+			}})
+		}
+		return perWorkload(variants...)
+	},
+	project: func(recs []*Record) ([]BarrierRow, error) {
+		rows := make([]BarrierRow, len(recs))
+		for i, r := range recs {
+			s, res, flavor := r.Summary, r.Result, barrierFlavors[i%len(barrierFlavors)]
+			spec := flavor.mode.Spec()
+			fv := core.FlavorSiteVerdicts(r.Build.Program, spec)
 			elided := s.ElidedExecs + s.NullOrSameExecs + s.RearrangeExecs
-			rows = append(rows, BarrierRow{
-				Workload:        w.Name,
+			rows[i] = BarrierRow{
+				Workload:        r.Workload.Name,
 				Flavor:          spec.Name,
-				GC:              gcName(fc.GC),
+				GC:              flavor.gcName,
 				StaticKept:      fv.Kept,
 				StaticDiscarded: fv.Discarded,
 				Execs:           s.TotalExecs,
@@ -134,30 +104,22 @@ func Barriers(inlineLimit int) ([]BarrierRow, error) {
 				Cards:           res.Counters.CardsDirtied,
 				BarrierCost:     res.Counters.Cost,
 				TotalCost:       res.TotalCost(),
-				Relative:        tp / base,
-			})
+				Relative:        throughput(res) / throughput(recs[i-i%len(barrierFlavors)].Result),
+			}
 		}
-	}
-	return rows, nil
-}
-
-// FormatBarriers renders the cross-flavor matrix grouped by workload.
-func FormatBarriers(rows []BarrierRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Barrier-flavor matrix: elimination and end-to-end cost per flavor\n")
-	fmt.Fprintf(&b, "%-7s %-12s %-5s %10s %7s %7s %7s %7s %9s %9s %8s %11s %9s\n",
-		"bench", "flavor", "gc", "execs", "% elim", "% pnull", "% nos", "% rearr",
-		"logged", "shaded", "cards", "cost", "relative")
-	last := ""
-	for _, r := range rows {
-		if last != "" && r.Workload != last {
-			fmt.Fprintln(&b)
-		}
-		last = r.Workload
-		fmt.Fprintf(&b, "%-7s %-12s %-5s %10d %7.1f %7.1f %7.1f %7.1f %9d %9d %8d %11d %9.3f\n",
-			r.Workload, r.Flavor, r.GC, r.Execs,
-			r.ElimPct, r.PreNullPct, r.NullOrSamePct, r.RearrangePct,
-			r.Logged, r.Shaded, r.Cards, r.BarrierCost, r.Relative)
-	}
-	return b.String()
+		return rows, nil
+	},
+	table: table[BarrierRow]{
+		title: "Barrier-flavor matrix: elimination and end-to-end cost per flavor",
+		head: fmt.Sprintf("%-7s %-12s %-5s %10s %7s %7s %7s %7s %9s %9s %8s %11s %9s",
+			"bench", "flavor", "gc", "execs", "% elim", "% pnull", "% nos", "% rearr",
+			"logged", "shaded", "cards", "cost", "relative"),
+		row: "%-7s %-12s %-5s %10d %7.1f %7.1f %7.1f %7.1f %9d %9d %8d %11d %9.3f",
+		vals: func(r BarrierRow) []any {
+			return []any{r.Workload, r.Flavor, r.GC, r.Execs, r.ElimPct, r.PreNullPct, r.NullOrSamePct,
+				r.RearrangePct, r.Logged, r.Shaded, r.Cards, r.BarrierCost, r.Relative}
+		},
+		group: true,
+	},
+	store: func(d *Document, rows []BarrierRow) { d.Barriers = rows },
 }

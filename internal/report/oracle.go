@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"satbelim/internal/core"
-	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
-	"satbelim/internal/workloads"
 )
 
 // OracleRow is one (workload, analysis config) soundness-oracle run:
@@ -33,74 +31,70 @@ func (r OracleRow) Clean() bool { return r.Violation == "" }
 // oracleConfigs are the analysis configurations the soundness sweep
 // covers: the paper's A mode plus every extension that adds elisions.
 var oracleConfigs = []struct {
-	Name string
-	Opts core.Options
+	name string
+	opts core.Options
 }{
-	{"A", core.Options{Mode: core.ModeFieldArray}},
+	{"A", modeA},
 	{"A+nos", core.Options{Mode: core.ModeFieldArray, NullOrSame: true}},
 	{"A+nos+rearr", core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}},
 	{"A+ip", core.Options{Mode: core.ModeFieldArray, Interprocedural: true}},
 }
 
-// Oracle runs every workload under every oracle configuration at the
-// given inline limit with Config.CheckElisions set, on the compiled
-// engine so that compiled elided stores are checked too. A violation is
-// reported in the row rather than returned as an error, so a sweep
-// always yields the full matrix; callers that want hard failure (e.g.
-// satbbench -strict) check Clean() per row.
-func Oracle(inlineLimit int) ([]OracleRow, error) {
-	var rows []OracleRow
-	for _, w := range workloads.All() {
-		for _, cfg := range oracleConfigs {
-			b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-				InlineLimit: inlineLimit,
-				Analysis:    withBudget(cfg.Opts),
-				Runtime: vm.Config{
-					Barrier:            satb.ModeConditional,
-					GC:                 vm.GCSATB,
-					TriggerEveryAllocs: 256,
-					CheckInvariant:     true,
-					CheckElisions:      true,
-					Engine:             vm.EngineCompiled,
-				},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("oracle %s/%s: %w", w.Name, cfg.Name, err)
-			}
-			row := OracleRow{Workload: w.Name, Config: cfg.Name, Limit: inlineLimit}
-			for _, m := range b.Report.Degraded() {
-				row.Degraded = append(row.Degraded,
-					fmt.Sprintf("%s (%s)", m.Method.QualifiedName(), m.Degraded))
-			}
-			res, err := b.Exec()
-			if err != nil {
-				row.Violation = err.Error()
-			} else {
-				row.Checks = res.ElisionChecks
-				if s := res.Counters.Summarize(); len(s.UnsoundSites) > 0 {
-					row.Violation = fmt.Sprintf("unsound sites %v", s.UnsoundSites)
-				}
-			}
-			rows = append(rows, row)
+// Oracle runs every workload under every oracle configuration with
+// Config.CheckElisions set, on the compiled engine so that compiled
+// elided stores are checked too. A violation is reported in the row
+// rather than failing the experiment, so a sweep always yields the full
+// matrix; callers that want hard failure (e.g. satbbench -strict) check
+// Clean() per row.
+var Oracle = &Experiment[OracleRow]{
+	name: "oracle", usage: "soundness oracle: validate every elided store at runtime",
+	cells: func(s Settings) []Cell {
+		run := &vm.Config{
+			Barrier:            satb.ModeConditional,
+			GC:                 vm.GCSATB,
+			TriggerEveryAllocs: 256,
+			CheckInvariant:     true,
+			CheckElisions:      true,
+			Engine:             vm.EngineCompiled,
 		}
-	}
-	return rows, nil
-}
-
-// FormatOracle renders the soundness sweep.
-func FormatOracle(rows []OracleRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Soundness oracle (elided stores validated at runtime)\n")
-	fmt.Fprintf(&b, "%-7s %-12s %6s %12s  %s\n", "bench", "config", "limit", "checks", "status")
-	for _, r := range rows {
-		status := "ok"
-		if !r.Clean() {
-			status = "VIOLATION: " + r.Violation
+		var variants []Cell
+		for _, c := range oracleConfigs {
+			variants = append(variants, Cell{Limit: s.InlineLimit, Analysis: c.opts, Run: run})
 		}
-		if len(r.Degraded) > 0 {
-			status += fmt.Sprintf(" [degraded: %s]", strings.Join(r.Degraded, ", "))
+		return perWorkload(variants...)
+	},
+	project: func(recs []*Record) ([]OracleRow, error) {
+		rows := make([]OracleRow, len(recs))
+		for i, r := range recs {
+			row := OracleRow{Workload: r.Workload.Name, Config: oracleConfigs[i%len(oracleConfigs)].name, Limit: r.Limit}
+			for _, m := range r.Build.Report.Degraded() {
+				row.Degraded = append(row.Degraded, fmt.Sprintf("%s (%s)", m.Method.QualifiedName(), m.Degraded))
+			}
+			if r.Result != nil {
+				row.Checks = r.Result.ElisionChecks
+			}
+			if r.Err != nil {
+				row.Violation = r.Err.Error()
+			}
+			rows[i] = row
 		}
-		fmt.Fprintf(&b, "%-7s %-12s %6d %12d  %s\n", r.Workload, r.Config, r.Limit, r.Checks, status)
-	}
-	return b.String()
+		return rows, nil
+	},
+	table: table[OracleRow]{
+		title: "Soundness oracle (elided stores validated at runtime)",
+		head:  fmt.Sprintf("%-7s %-12s %6s %12s  %s", "bench", "config", "limit", "checks", "status"),
+		row:   "%-7s %-12s %6d %12d  %s",
+		vals: func(r OracleRow) []any {
+			status := "ok"
+			if !r.Clean() {
+				status = "VIOLATION: " + r.Violation
+			}
+			if len(r.Degraded) > 0 {
+				status += fmt.Sprintf(" [degraded: %s]", strings.Join(r.Degraded, ", "))
+			}
+			return []any{r.Workload, r.Config, r.Limit, r.Checks, status}
+		},
+	},
+	store:      func(d *Document, rows []OracleRow) { d.Oracle = rows },
+	violations: true,
 }

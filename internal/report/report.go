@@ -1,12 +1,21 @@
 // Package report regenerates the paper's evaluation tables and figures
 // over the MiniJava workload suite: Table 1 (dynamic barrier elimination),
 // Table 2 (jbb end-to-end barrier cost), Figure 2 (inlining level vs
-// effectiveness and compile time), Figure 3 (compiled code size), and the
-// §4.3 null-or-same site measurements.
+// effectiveness and compile time), Figure 3 (compiled code size), the
+// §4.3 null-or-same and rearrangement measurements, and the
+// interprocedural, barrier-flavor, soundness-oracle and performance
+// tables.
+//
+// Every experiment is a declaration over one matrix. A Cell is workload ×
+// inline limit × core.Options × vm.Config; a Runner compiles and runs each
+// unique cell once and checks its soundness in one place. An Experiment
+// names its cells, projects their Records onto its row type, and lays out
+// its columns for the one table renderer.
 package report
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -22,512 +31,229 @@ import (
 // results").
 const DefaultInlineLimit = 100
 
-// AnalysisDeadline, when nonzero, is applied as the per-method analysis
-// wall-clock budget for every build this package performs (satbbench's
-// -deadline flag). Methods that exceed it degrade to the sound
-// all-barriers result and are listed in the report output.
-var AnalysisDeadline time.Duration
-
-// withBudget applies the package-level analysis budget to an options
-// value.
-func withBudget(o core.Options) core.Options {
-	if AnalysisDeadline > 0 && o.Deadline == 0 {
-		o.Deadline = AnalysisDeadline
-	}
-	return o
+// Settings are the knobs every experiment of one Runner shares.
+type Settings struct {
+	// InlineLimit governs every experiment except Figure 2 and
+	// Interprocedural, which measure at fixed limits.
+	InlineLimit int
+	// Workers is the per-method analysis fan-out (<= 0: GOMAXPROCS).
+	Workers int
+	// Deadline, when nonzero, is the per-method analysis wall-clock
+	// budget; methods over it degrade to the sound all-barriers result.
+	Deadline time.Duration
 }
 
-// buildAndRun compiles a workload with the given options and runs it with
-// conditional SATB barriers (marking kept permanently active so that every
-// barrier's dynamic behaviour is observed).
-func buildAndRun(w *workloads.Workload, inlineLimit int, opts core.Options) (*pipeline.Build, *vm.Result, error) {
-	b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-		InlineLimit: inlineLimit,
-		Analysis:    withBudget(opts),
-		Runtime:     vm.Config{Barrier: satb.ModeConditional},
+// Cell is one point of the experiment matrix. A nil Run compiles only.
+type Cell struct {
+	Workload *workloads.Workload
+	Limit    int
+	Analysis core.Options
+	Run      *vm.Config
+}
+
+// String names the cell; it is also the Runner's dedupe key.
+func (c Cell) String() string {
+	return fmt.Sprintf("%s limit %d %+v run %+v", c.Workload.Name, c.Limit, c.Analysis, c.Run)
+}
+
+// perWorkload crosses every workload with the variants, workload-major.
+func perWorkload(variants ...Cell) []Cell {
+	var cells []Cell
+	for _, w := range workloads.All() {
+		for _, v := range variants {
+			v.Workload = w
+			cells = append(cells, v)
+		}
+	}
+	return cells
+}
+
+// Record is one cell's outcome.
+type Record struct {
+	Cell
+	Build *pipeline.Build
+	// Result and Summary are the run's (nil and zero for compile-only
+	// cells and failed runs).
+	Result  *vm.Result
+	Summary satb.Summary
+	// Err is the run's failure or its unsound elisions.
+	Err error
+}
+
+// elimPct is the share of barrier executions at pre-null-elided sites.
+func (r *Record) elimPct() float64 { return pct(r.Summary.ElidedExecs, r.Summary.TotalExecs) }
+
+// Runner measures the matrix: each unique cell is compiled (through the
+// shared build cache) and run once, however many experiments read it.
+// A Runner is not safe for concurrent use.
+type Runner struct {
+	Settings
+	records []*Record
+	byKey   map[string]*Record
+}
+
+// NewRunner returns an empty Runner.
+func NewRunner(s Settings) *Runner {
+	return &Runner{Settings: s, byKey: map[string]*Record{}}
+}
+
+// Run returns the records of cells in order, measuring the ones not seen
+// before. A compile error aborts; a run failure stays in Record.Err.
+func (r *Runner) Run(cells []Cell) ([]*Record, error) {
+	recs := make([]*Record, len(cells))
+	for i, c := range cells {
+		key := c.String()
+		rec, ok := r.byKey[key]
+		if !ok {
+			var err error
+			if rec, err = r.measure(c); err != nil {
+				return nil, err
+			}
+			r.byKey[key] = rec
+			r.records = append(r.records, rec)
+		}
+		recs[i] = rec
+	}
+	return recs, nil
+}
+
+// measure compiles and runs one cell. It is the soundness check of every
+// experiment: an elided site that observed a non-null pre-value fails.
+func (r *Runner) measure(c Cell) (*Record, error) {
+	opts := c.Analysis
+	opts.Deadline = r.Deadline
+	b, err := pipeline.Compile(c.Workload.Name, c.Workload.Source, pipeline.Options{
+		InlineLimit: c.Limit,
+		Analysis:    opts,
+		Workers:     r.Workers,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("%v: %w", c, err)
 	}
-	res, err := b.Exec()
+	rec := &Record{Cell: c, Build: b}
+	if c.Run == nil {
+		return rec, nil
+	}
+	res, err := vm.New(b.Program, *c.Run).Run()
 	if err != nil {
-		return nil, nil, err
+		rec.Err = err
+		return rec, nil
 	}
-	return b, res, nil
-}
-
-// Table1Row is one benchmark's dynamic results, paired with the paper's.
-type Table1Row struct {
-	Name       string
-	Total      uint64
-	ElimPct    float64
-	PotPct     float64
-	FieldShare float64
-	ArrayShare float64
-	FieldElim  float64
-	ArrayElim  float64
-	Paper      workloads.PaperRow
-}
-
-// Table1 measures the dynamic elimination results for every workload
-// (analysis mode A, the paper's configuration).
-func Table1(inlineLimit int) ([]Table1Row, error) {
-	var rows []Table1Row
-	for _, w := range workloads.All() {
-		_, res, err := buildAndRun(w, inlineLimit, core.Options{Mode: core.ModeFieldArray})
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", w.Name, err)
-		}
-		s := res.Counters.Summarize()
-		if len(s.UnsoundSites) > 0 {
-			return nil, fmt.Errorf("table1 %s: unsound elisions %v", w.Name, s.UnsoundSites)
-		}
-		rows = append(rows, Table1Row{
-			Name:       w.Name,
-			Total:      s.TotalExecs,
-			ElimPct:    pct(s.ElidedExecs, s.TotalExecs),
-			PotPct:     pct(s.PotPreNull, s.TotalExecs),
-			FieldShare: pct(s.FieldExecs, s.TotalExecs),
-			ArrayShare: pct(s.ArrayExecs, s.TotalExecs),
-			FieldElim:  pct(s.FieldElided, s.FieldExecs),
-			ArrayElim:  pct(s.ArrayElided, s.ArrayExecs),
-			Paper:      w.Paper,
-		})
+	rec.Result, rec.Summary = res, res.Counters.Summarize()
+	if len(rec.Summary.UnsoundSites) > 0 {
+		rec.Err = fmt.Errorf("unsound sites %v", rec.Summary.UnsoundSites)
 	}
-	return rows, nil
+	return rec, nil
 }
 
-// FormatTable1 renders measured-vs-paper rows in the paper's layout.
-func FormatTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1: dynamic barrier elimination (measured | paper)\n")
-	fmt.Fprintf(&b, "%-7s %10s %15s %15s %13s %15s %15s\n",
-		"bench", "total", "% elim", "% pot pre-null", "field/array", "field % elim", "array % elim")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %10d %6.1f | %5.1f %6.1f | %6.1f %3.0f/%2.0f | %2.0f/%2.0f %6.1f | %6.1f %6.1f | %6.1f\n",
-			r.Name, r.Total,
-			r.ElimPct, r.Paper.ElimPct,
-			r.PotPct, r.Paper.PotPreNullPct,
-			r.FieldShare, r.ArrayShare, r.Paper.FieldPct, r.Paper.ArrayPct,
-			r.FieldElim, r.Paper.FieldElimPct,
-			r.ArrayElim, r.Paper.ArrayElimPct)
-	}
-	return b.String()
+// Experiment declares one table: the cells it reads, the projection of
+// their records (in cell order) onto its row type, its layout, and the
+// Document section it fills.
+type Experiment[T any] struct {
+	name, usage string // satbbench flag and its help
+	cells       func(Settings) []Cell
+	project     func([]*Record) ([]T, error)
+	table       table[T]
+	store       func(*Document, []T)
+	// violations keeps run failures in the rows instead of failing the
+	// experiment (the soundness oracle reports them per row).
+	violations bool
 }
 
-// Table2Row is one barrier-mode configuration of the jbb end-to-end
-// experiment.
-type Table2Row struct {
-	Mode       string
-	Cost       uint64  // total cost-model units
-	Throughput float64 // work units per 1000 cost units
-	Relative   float64 // vs no-barrier
+// Section is an experiment of any row type, as satbbench drives it.
+type Section interface {
+	Flag() (name, usage string)
+	Emit(r *Runner, doc *Document) (string, error)
 }
 
-// Table2 measures end-to-end barrier cost on jbb under the three modes of
-// the paper's Table 2: no-barrier, always-log (check elided, no analysis)
-// and always-log-elim (always-log plus barrier elimination).
-func Table2(inlineLimit int) ([]Table2Row, error) {
-	w, err := workloads.Get("jbb")
+// Experiments lists every experiment in satbbench's print order.
+var Experiments = []Section{
+	Perf, Table1, Table2, Figure2, Figure3, NullOrSame, Rearrangement,
+	Barriers, Interprocedural, VMPerf, Oracle,
+}
+
+// Flag returns the experiment's satbbench flag name and help text.
+func (e *Experiment[T]) Flag() (string, string) { return e.name, e.usage }
+
+// Rows measures the experiment's cells on r and projects their records.
+func (e *Experiment[T]) Rows(r *Runner) ([]T, error) {
+	recs, err := r.Run(e.cells(r.Settings))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s %w", e.name, err)
 	}
-	type cfg struct {
-		name string
-		mode satb.BarrierMode
-		opts core.Options
-	}
-	cfgs := []cfg{
-		{"no-barrier", satb.ModeNoBarrier, core.Options{Mode: core.ModeNone}},
-		{"always-log", satb.ModeAlwaysLog, core.Options{Mode: core.ModeNone}},
-		{"always-log-elim", satb.ModeAlwaysLog, core.Options{Mode: core.ModeFieldArray}},
-	}
-	var rows []Table2Row
-	var base float64
-	for _, c := range cfgs {
-		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: inlineLimit,
-			Analysis:    withBudget(c.opts),
-			Runtime:     vm.Config{Barrier: c.mode},
-		})
-		if err != nil {
-			return nil, err
+	for _, rec := range recs {
+		if rec.Err != nil && !e.violations {
+			return nil, fmt.Errorf("%s %v: %w", e.name, rec.Cell, rec.Err)
 		}
-		res, err := b.Exec()
-		if err != nil {
-			return nil, err
-		}
-		tp := 1000 * float64(res.Steps) / float64(res.TotalCost())
-		if c.name == "no-barrier" {
-			base = tp
-		}
-		rows = append(rows, Table2Row{Mode: c.name, Cost: res.TotalCost(), Throughput: tp, Relative: tp / base})
 	}
-	return rows, nil
+	return e.project(recs)
 }
 
-// FormatTable2 renders the jbb end-to-end rows next to the paper's
-// relative throughputs (1.000 / 0.975 / 0.984).
-func FormatTable2(rows []Table2Row) string {
-	paper := map[string]float64{"no-barrier": 1.000, "always-log": 0.975, "always-log-elim": 0.984}
+// Format renders rows measured under s.
+func (e *Experiment[T]) Format(s Settings, rows []T) string {
+	return e.table.render(s, rows)
+}
+
+// Emit measures the experiment, stores its rows in doc and returns them
+// rendered.
+func (e *Experiment[T]) Emit(r *Runner, doc *Document) (string, error) {
+	rows, err := e.Rows(r)
+	if err != nil {
+		return "", err
+	}
+	e.store(doc, rows)
+	return e.Format(r.Settings, rows), nil
+}
+
+// perRecord projects one row per record.
+func perRecord[T any](f func(*Record) T) func([]*Record) ([]T, error) {
+	return func(recs []*Record) ([]T, error) {
+		rows := make([]T, len(recs))
+		for i, rec := range recs {
+			rows[i] = f(rec)
+		}
+		return rows, nil
+	}
+}
+
+// table is an experiment's layout for the one renderer. The title's
+// "{limit}" becomes the Settings' inline limit; head is the formatted
+// header line ("" for none); row formats vals(row); group separates runs
+// of rows with a blank line when the first column changes; footer
+// appends summary lines.
+type table[T any] struct {
+	title  string
+	head   string
+	row    string
+	vals   func(T) []any
+	group  bool
+	footer func([]T) string
+}
+
+func (t table[T]) render(s Settings, rows []T) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: jbb end-to-end barrier cost (deterministic cost model)\n")
-	fmt.Fprintf(&b, "%-16s %12s %12s %10s %10s\n", "barrier mode", "cost units", "throughput", "relative", "paper")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %12d %12.2f %10.3f %10.3f\n", r.Mode, r.Cost, r.Throughput, r.Relative, paper[r.Mode])
+	b.WriteString(strings.ReplaceAll(t.title, "{limit}", strconv.Itoa(s.InlineLimit)) + "\n")
+	if t.head != "" {
+		b.WriteString(t.head + "\n")
+	}
+	var last any
+	for i, r := range rows {
+		v := t.vals(r)
+		if t.group && i > 0 && v[0] != last {
+			b.WriteString("\n")
+		}
+		last = v[0]
+		fmt.Fprintf(&b, t.row+"\n", v...)
+	}
+	if t.footer != nil {
+		b.WriteString(t.footer(rows))
 	}
 	return b.String()
 }
 
-// Fig2Point is one (inline limit, analysis mode) observation for one
-// workload.
-type Fig2Point struct {
-	Workload     string
-	Limit        int
-	Mode         core.Mode
-	ElimPct      float64
-	CompileTime  time.Duration
-	AnalysisTime time.Duration
-	CodeBytes    int
-}
-
-// Figure2Limits is the paper's sweep.
-var Figure2Limits = []int{0, 25, 50, 100, 200}
-
-// Figure2 sweeps inlining levels × analysis modes over all workloads.
-func Figure2(limits []int) ([]Fig2Point, error) {
-	if limits == nil {
-		limits = Figure2Limits
-	}
-	var out []Fig2Point
-	for _, w := range workloads.All() {
-		for _, limit := range limits {
-			for _, mode := range []core.Mode{core.ModeNone, core.ModeField, core.ModeFieldArray} {
-				b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-					InlineLimit: limit,
-					Analysis:    withBudget(core.Options{Mode: mode}),
-					Runtime:     vm.Config{Barrier: satb.ModeConditional},
-				})
-				if err != nil {
-					return nil, fmt.Errorf("fig2 %s limit %d: %w", w.Name, limit, err)
-				}
-				res, err := b.Exec()
-				if err != nil {
-					return nil, err
-				}
-				s := res.Counters.Summarize()
-				out = append(out, Fig2Point{
-					Workload:     w.Name,
-					Limit:        limit,
-					Mode:         mode,
-					ElimPct:      pct(s.ElidedExecs, s.TotalExecs),
-					CompileTime:  b.CompileTime(),
-					AnalysisTime: b.AnalysisTime,
-					CodeBytes:    b.BytecodeBytes,
-				})
-			}
-		}
-	}
-	return out, nil
-}
-
-// FormatFigure2 renders the sweep as per-workload series.
-func FormatFigure2(points []Fig2Point) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2: inline limit vs dynamic elimination and compile time\n")
-	fmt.Fprintf(&b, "%-7s %6s %5s %8s %12s %12s %10s\n",
-		"bench", "limit", "mode", "% elim", "compile", "analysis", "bytecode")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%-7s %6d %5s %8.1f %12v %12v %10d\n",
-			p.Workload, p.Limit, p.Mode, p.ElimPct, p.CompileTime.Round(time.Microsecond),
-			p.AnalysisTime.Round(time.Microsecond), p.CodeBytes)
-	}
-	return b.String()
-}
-
-// Fig3Row is one workload's compiled-code-size comparison.
-type Fig3Row struct {
-	Workload   string
-	SizeB      int
-	SizeF      int
-	SizeA      int
-	ReduceFPct float64
-	ReduceAPct float64
-}
-
-// Figure3 measures compiled code size (bytecode + inline barrier
-// sequences) under B, F, and A at the given inline level.
-func Figure3(inlineLimit int) ([]Fig3Row, error) {
-	var rows []Fig3Row
-	for _, w := range workloads.All() {
-		sizes := map[core.Mode]int{}
-		for _, mode := range []core.Mode{core.ModeNone, core.ModeField, core.ModeFieldArray} {
-			b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-				InlineLimit: inlineLimit,
-				Analysis:    withBudget(core.Options{Mode: mode}),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig3 %s: %w", w.Name, err)
-			}
-			sizes[mode] = b.CompiledCodeSize()
-		}
-		rows = append(rows, Fig3Row{
-			Workload:   w.Name,
-			SizeB:      sizes[core.ModeNone],
-			SizeF:      sizes[core.ModeField],
-			SizeA:      sizes[core.ModeFieldArray],
-			ReduceFPct: 100 * float64(sizes[core.ModeNone]-sizes[core.ModeField]) / float64(sizes[core.ModeNone]),
-			ReduceAPct: 100 * float64(sizes[core.ModeNone]-sizes[core.ModeFieldArray]) / float64(sizes[core.ModeNone]),
-		})
-	}
-	return rows, nil
-}
-
-// FormatFigure3 renders the code-size rows (paper: 2–6% reduction).
-func FormatFigure3(rows []Fig3Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 3: compiled code size by analysis mode (inline limit %d)\n", DefaultInlineLimit)
-	fmt.Fprintf(&b, "%-7s %10s %10s %10s %10s %10s\n", "bench", "B bytes", "F bytes", "A bytes", "F % cut", "A % cut")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %10d %10d %10d %10.1f %10.1f\n",
-			r.Workload, r.SizeB, r.SizeF, r.SizeA, r.ReduceFPct, r.ReduceAPct)
-	}
-	return b.String()
-}
-
-// NullOrSameRow reports the §4.3 extension's measured share.
-type NullOrSameRow struct {
-	Workload string
-	Pct      float64
-	PaperPct float64
-}
-
-// NullOrSame measures the share of barrier executions elided by the
-// null-or-same extension on the workloads where the paper reports one.
-func NullOrSame(inlineLimit int) ([]NullOrSameRow, error) {
-	var rows []NullOrSameRow
-	for _, w := range workloads.All() {
-		_, res, err := buildAndRun(w, inlineLimit, core.Options{Mode: core.ModeFieldArray, NullOrSame: true})
-		if err != nil {
-			return nil, fmt.Errorf("null-or-same %s: %w", w.Name, err)
-		}
-		s := res.Counters.Summarize()
-		if len(s.UnsoundSites) > 0 {
-			return nil, fmt.Errorf("null-or-same %s: unsound elisions %v", w.Name, s.UnsoundSites)
-		}
-		rows = append(rows, NullOrSameRow{
-			Workload: w.Name,
-			Pct:      pct(s.NullOrSameExecs, s.TotalExecs),
-			PaperPct: w.NullOrSamePaperPct,
-		})
-	}
-	return rows, nil
-}
-
-// FormatNullOrSame renders the §4.3 rows.
-func FormatNullOrSame(rows []NullOrSameRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "§4.3 null-or-same stores (%% of barrier executions; measured | paper)\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %6.1f | %4.1f\n", r.Workload, r.Pct, r.PaperPct)
-	}
-	return b.String()
-}
-
-// InterprocRow compares elimination without inlining, with and without
-// interprocedural escape summaries, against the inlined baseline.
-type InterprocRow struct {
-	Workload       string
-	Limit0Pct      float64 // no inlining, intra-procedural only
-	Limit0SumPct   float64 // no inlining, with summaries
-	InlinedBasePct float64 // inline limit 100 (the paper's setting)
-	// DeltaPct is what the summaries buy: Limit0SumPct - Limit0Pct
-	// (additive to schema v1).
-	DeltaPct float64
-}
-
-// Interprocedural measures how much of the inlining-dependent precision
-// the escape summaries recover at inline limit 0 (the paper's §2.4 "lack
-// of interprocedural techniques" future work).
-func Interprocedural() ([]InterprocRow, error) {
-	var rows []InterprocRow
-	measure := func(w *workloads.Workload, limit int, opts core.Options) (float64, error) {
-		_, res, err := buildAndRun(w, limit, opts)
-		if err != nil {
-			return 0, err
-		}
-		s := res.Counters.Summarize()
-		if len(s.UnsoundSites) > 0 {
-			return 0, fmt.Errorf("%s: unsound %v", w.Name, s.UnsoundSites)
-		}
-		return pct(s.ElidedExecs, s.TotalExecs), nil
-	}
-	for _, w := range workloads.All() {
-		plain, err := measure(w, 0, core.Options{Mode: core.ModeFieldArray})
-		if err != nil {
-			return nil, err
-		}
-		sum, err := measure(w, 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true})
-		if err != nil {
-			return nil, err
-		}
-		base, err := measure(w, DefaultInlineLimit, core.Options{Mode: core.ModeFieldArray})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, InterprocRow{
-			Workload: w.Name, Limit0Pct: plain, Limit0SumPct: sum,
-			InlinedBasePct: base, DeltaPct: sum - plain,
-		})
-	}
-	return rows, nil
-}
-
-// FormatInterprocedural renders the summary-recovery rows.
-func FormatInterprocedural(rows []InterprocRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Interprocedural escape summaries (dynamic %% eliminated)\n")
-	fmt.Fprintf(&b, "%-7s %14s %16s %8s %14s\n", "bench", "limit 0", "limit 0 + sums", "delta", "limit 100")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %14.1f %16.1f %+8.1f %14.1f\n",
-			r.Workload, r.Limit0Pct, r.Limit0SumPct, r.DeltaPct, r.InlinedBasePct)
-	}
-	return b.String()
-}
-
-// RearrangeRow reports the §4.3 array-rearrangement extension's effect on
-// one workload.
-type RearrangeRow struct {
-	Workload string
-	// ElimPct is the plain mode-A elimination; WithRearrangePct adds the
-	// swap stores covered by the optimistic retrace protocol.
-	ElimPct          float64
-	RearrangePct     float64
-	WithRearrangePct float64
-	Retraces         uint64
-}
-
-// Rearrangement measures how much of each workload's barrier traffic the
-// swap-pair protocol covers, on top of the pre-null eliminations. Runs
-// under concurrent SATB marking so retrace counts are real.
-func Rearrangement(inlineLimit int) ([]RearrangeRow, error) {
-	var rows []RearrangeRow
-	for _, w := range workloads.All() {
-		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: inlineLimit,
-			Analysis:    withBudget(core.Options{Mode: core.ModeFieldArray, Rearrange: true}),
-			Runtime: vm.Config{
-				Barrier:            satb.ModeConditional,
-				GC:                 vm.GCSATB,
-				TriggerEveryAllocs: 200,
-				CheckInvariant:     true,
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("rearrange %s: %w", w.Name, err)
-		}
-		res, err := b.Exec()
-		if err != nil {
-			return nil, err
-		}
-		s := res.Counters.Summarize()
-		if len(s.UnsoundSites) > 0 {
-			return nil, fmt.Errorf("rearrange %s: unsound %v", w.Name, s.UnsoundSites)
-		}
-		rows = append(rows, RearrangeRow{
-			Workload:         w.Name,
-			ElimPct:          pct(s.ElidedExecs, s.TotalExecs),
-			RearrangePct:     pct(s.RearrangeExecs, s.TotalExecs),
-			WithRearrangePct: pct(s.ElidedExecs+s.RearrangeExecs, s.TotalExecs),
-			Retraces:         s.Retraces,
-		})
-	}
-	return rows, nil
-}
-
-// FormatRearrangement renders the §4.3 rearrangement rows.
-func FormatRearrangement(rows []RearrangeRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "§4.3 array rearrangements (optimistic retrace protocol)\n")
-	fmt.Fprintf(&b, "%-7s %10s %12s %12s %10s\n", "bench", "% elim", "% rearrange", "% combined", "retraces")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %10.1f %12.1f %12.1f %10d\n",
-			r.Workload, r.ElimPct, r.RearrangePct, r.WithRearrangePct, r.Retraces)
-	}
-	return b.String()
-}
-
-// PerfRow is one workload's compile-side performance snapshot: per-stage
-// times, analysis iteration counts, and the elimination it bought. The
-// ns fields are what the cross-PR BENCH_*.json trajectory tracks.
-type PerfRow struct {
-	Workload      string  `json:"workload"`
-	Workers       int     `json:"workers"`
-	CompileNs     int64   `json:"compile_ns"`
-	FrontendNs    int64   `json:"frontend_ns"`
-	InlineNs      int64   `json:"inline_ns"`
-	VerifyNs      int64   `json:"verify_ns"`
-	AnalysisNs    int64   `json:"analysis_ns"`
-	BlockVisits   int     `json:"block_visits"`
-	Methods       int     `json:"methods"`
-	BytecodeBytes int     `json:"bytecode_bytes"`
-	ElimPct       float64 `json:"elim_pct"`
-}
-
-// Perf compiles every workload in mode A and reports per-stage compile
-// times, fixed-point block visits, and dynamic elimination. workers <= 0
-// means GOMAXPROCS (the pipeline default).
-func Perf(inlineLimit, workers int) ([]PerfRow, error) {
-	var rows []PerfRow
-	for _, w := range workloads.All() {
-		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: inlineLimit,
-			Analysis:    withBudget(core.Options{Mode: core.ModeFieldArray}),
-			Workers:     workers,
-			Runtime:     vm.Config{Barrier: satb.ModeConditional},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("perf %s: %w", w.Name, err)
-		}
-		res, err := b.Exec()
-		if err != nil {
-			return nil, err
-		}
-		s := res.Counters.Summarize()
-		if len(s.UnsoundSites) > 0 {
-			return nil, fmt.Errorf("perf %s: unsound elisions %v", w.Name, s.UnsoundSites)
-		}
-		rows = append(rows, PerfRow{
-			Workload:      w.Name,
-			Workers:       workers,
-			CompileNs:     b.CompileTime().Nanoseconds(),
-			FrontendNs:    b.FrontendTime.Nanoseconds(),
-			InlineNs:      b.InlineTime.Nanoseconds(),
-			VerifyNs:      b.VerifyTime.Nanoseconds(),
-			AnalysisNs:    b.AnalysisTime.Nanoseconds(),
-			BlockVisits:   b.Report.BlockVisits(),
-			Methods:       len(b.Report.Methods),
-			BytecodeBytes: b.BytecodeBytes,
-			ElimPct:       pct(s.ElidedExecs, s.TotalExecs),
-		})
-	}
-	return rows, nil
-}
-
-// FormatPerf renders the compile-performance rows.
-func FormatPerf(rows []PerfRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Compile performance (mode A)\n")
-	fmt.Fprintf(&b, "%-7s %10s %10s %10s %8s %8s\n",
-		"bench", "compile", "analysis", "visits", "methods", "% elim")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %10v %10v %10d %8d %8.1f\n",
-			r.Workload,
-			time.Duration(r.CompileNs).Round(time.Microsecond),
-			time.Duration(r.AnalysisNs).Round(time.Microsecond),
-			r.BlockVisits, r.Methods, r.ElimPct)
-	}
-	return b.String()
+// throughput is work units per 1000 cost-model units.
+func throughput(res *vm.Result) float64 {
+	return 1000 * float64(res.Steps) / float64(res.TotalCost())
 }
 
 func pct(n, d uint64) float64 {

@@ -7,8 +7,11 @@ import (
 	"satbelim/internal/core"
 )
 
+// defaults are satbbench's default settings.
+var defaults = Settings{InlineLimit: DefaultInlineLimit}
+
 func TestTable1ShapesHold(t *testing.T) {
-	rows, err := Table1(DefaultInlineLimit)
+	rows, err := Table1.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +45,14 @@ func TestTable1ShapesHold(t *testing.T) {
 			t.Errorf("%s array elim should be ~0, got %.1f%%", n, byName[n].ArrayElim)
 		}
 	}
-	out := FormatTable1(rows)
+	out := Table1.Format(defaults, rows)
 	if !strings.Contains(out, "jess") || !strings.Contains(out, "field/array") {
 		t.Errorf("format: %s", out)
 	}
 }
 
 func TestTable2Ordering(t *testing.T) {
-	rows, err := Table2(DefaultInlineLimit)
+	rows, err := Table2.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +77,14 @@ func TestTable2Ordering(t *testing.T) {
 	if al.Relative < 0.80 || al.Relative > 0.999 {
 		t.Errorf("always-log relative %.4f outside plausible band", al.Relative)
 	}
-	out := FormatTable2(rows)
+	out := Table2.Format(defaults, rows)
 	if !strings.Contains(out, "always-log-elim") {
 		t.Errorf("format: %s", out)
 	}
 }
 
 func TestFigure2Monotonicity(t *testing.T) {
-	points, err := Figure2([]int{0, 100})
+	points, err := Figure2.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +131,7 @@ func TestFigure2Monotonicity(t *testing.T) {
 }
 
 func TestFigure3Reductions(t *testing.T) {
-	rows, err := Figure3(DefaultInlineLimit)
+	rows, err := Figure3.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestFigure3Reductions(t *testing.T) {
 }
 
 func TestInterproceduralRecoversInliningPrecision(t *testing.T) {
-	rows, err := Interprocedural()
+	rows, err := Interprocedural.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +170,7 @@ func TestInterproceduralRecoversInliningPrecision(t *testing.T) {
 }
 
 func TestRearrangementCoversDbSwaps(t *testing.T) {
-	rows, err := Rearrangement(DefaultInlineLimit)
+	rows, err := Rearrangement.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestRearrangementCoversDbSwaps(t *testing.T) {
 }
 
 func TestNullOrSameMeasured(t *testing.T) {
-	rows, err := NullOrSame(DefaultInlineLimit)
+	rows, err := NullOrSame.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,24 +3,12 @@ package report
 import "testing"
 
 func TestShowAll(t *testing.T) {
-	r1, err := Table1(100)
-	if err != nil {
-		t.Fatal(err)
+	r := NewRunner(defaults)
+	for _, e := range []Section{Table1, Table2, Figure3, NullOrSame} {
+		out, err := e.Emit(r, NewDocument("test"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Log("\n" + out)
 	}
-	t.Log("\n" + FormatTable1(r1))
-	r2, err := Table2(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatTable2(r2))
-	r3, err := Figure3(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatFigure3(r3))
-	r4, err := NullOrSame(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatNullOrSame(r4))
 }

@@ -7,11 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"satbelim/internal/core"
-	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
-	"satbelim/internal/workloads"
 )
 
 // VMPerfRow is one workload × engine point of the VM execution-engine
@@ -54,68 +51,115 @@ const vmPerfQuantum = 8192
 
 var vmPerfEngines = []vm.Engine{vm.EngineCompiled, vm.EngineFused, vm.EngineSwitch}
 
-// VMPerf compiles every workload in mode A and times full runs per
-// engine (including VM construction, so the fused engine's decode cost
-// and the compiled tier's translation cost are charged against them).
-// All engines execute the identical instruction stream, so steps match
-// and the wall-time ratios are pure dispatch-efficiency comparisons.
-func VMPerf(inlineLimit int) ([]VMPerfRow, error) {
-	var rows []VMPerfRow
-	for _, w := range workloads.All() {
-		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: inlineLimit,
-			Analysis:    withBudget(core.Options{Mode: core.ModeFieldArray}),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("vmperf %s: %w", w.Name, err)
+// VMPerf times full runs of every workload's mode-A build per engine
+// (including VM construction, so the fused engine's decode cost and the
+// compiled tier's translation cost are charged against them). Its cells
+// compile only: wall time is what it measures, so the interleaved timed
+// repetitions stay a timing loop over the cell's build. All engines
+// execute the identical instruction stream, so steps match and the
+// wall-time ratios are pure dispatch-efficiency comparisons.
+var VMPerf = &Experiment[VMPerfRow]{
+	name:  "vmperf",
+	usage: "VM execution-engine performance (compiled vs fused vs switch: instr/s, ns/instr, allocs/op, tier counters)",
+	cells: func(s Settings) []Cell {
+		return perWorkload(Cell{Limit: s.InlineLimit, Analysis: modeA})
+	},
+	project: func(recs []*Record) ([]VMPerfRow, error) {
+		var rows []VMPerfRow
+		for _, r := range recs {
+			trio, err := timeEngines(r)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, trio...)
 		}
-		trio := make([]VMPerfRow, len(vmPerfEngines))
-		best := make([]time.Duration, len(vmPerfEngines))
-		for rep := 0; rep < vmPerfReps; rep++ {
-			for i, eng := range vmPerfEngines {
-				cfg := vm.Config{Barrier: satb.ModeConditional, Engine: eng, Quantum: vmPerfQuantum}
-				runtime.GC()
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				t0 := time.Now()
-				res, err := b.Run(cfg)
-				d := time.Since(t0)
-				runtime.ReadMemStats(&m1)
-				if err != nil {
-					return nil, fmt.Errorf("vmperf %s/%v: %w", w.Name, eng, err)
-				}
-				if rep == 0 || d < best[i] {
-					best[i] = d
-					trio[i] = VMPerfRow{
-						Workload:     w.Name,
-						Engine:       eng.String(),
-						Steps:        res.Steps,
-						WallNs:       d.Nanoseconds(),
-						AllocsPerOp:  m1.Mallocs - m0.Mallocs,
-						TierUps:      res.TierUps,
-						TierDeopts:   res.TierDeopts,
-						TierSegExecs: res.TierSegExecs,
-					}
+		return rows, nil
+	},
+	table: table[VMPerfRow]{
+		title: "VM execution-engine performance (mode A, conditional barriers)",
+		head: fmt.Sprintf("%-7s %-9s %12s %12s %12s %10s %8s %8s %14s",
+			"bench", "engine", "steps", "Minstr/s", "ns/instr", "allocs/op", "speedup", "vs fused", "tier up/de/seg"),
+		row: "%-7s %-9s %12d %12.2f %12.2f %10d %8s %8s %14s",
+		vals: func(r VMPerfRow) []any {
+			speedup, vsFused, tier := "", "", ""
+			if r.Speedup > 0 {
+				speedup = fmt.Sprintf("%.2fx", r.Speedup)
+			}
+			if r.CompiledOverFused > 0 {
+				vsFused = fmt.Sprintf("%.2fx", r.CompiledOverFused)
+			}
+			if r.Engine == "compiled" {
+				tier = fmt.Sprintf("%d/%d/%d", r.TierUps, r.TierDeopts, r.TierSegExecs)
+			}
+			return []any{r.Workload, r.Engine, r.Steps, r.InstrPerSec / 1e6, r.NsPerInstr,
+				r.AllocsPerOp, speedup, vsFused, tier}
+		},
+		footer: func(rows []VMPerfRow) string {
+			var b strings.Builder
+			if g := VMPerfGeomeanSpeedup(rows); g > 0 {
+				fmt.Fprintf(&b, "geomean fused speedup: %.2fx\n", g)
+			}
+			if g := VMPerfGeomeanCompiledOverFused(rows); g > 0 {
+				fmt.Fprintf(&b, "geomean compiled over fused: %.2fx\n", g)
+			}
+			return b.String()
+		},
+	},
+	store: func(d *Document, rows []VMPerfRow) {
+		d.VMPerf = rows
+		d.VMPerfGeomeanSpeedup = VMPerfGeomeanSpeedup(rows)
+		d.VMPerfGeomeanCompiledOverFused = VMPerfGeomeanCompiledOverFused(rows)
+	},
+}
+
+// timeEngines times one build on every engine, fastest of vmPerfReps
+// interleaved repetitions, and derives the speedup columns.
+func timeEngines(r *Record) ([]VMPerfRow, error) {
+	trio := make([]VMPerfRow, len(vmPerfEngines))
+	best := make([]time.Duration, len(vmPerfEngines))
+	for rep := 0; rep < vmPerfReps; rep++ {
+		for i, eng := range vmPerfEngines {
+			cfg := vm.Config{Barrier: satb.ModeConditional, Engine: eng, Quantum: vmPerfQuantum}
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			t0 := time.Now()
+			res, err := vm.New(r.Build.Program, cfg).Run()
+			d := time.Since(t0)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				return nil, fmt.Errorf("vmperf %s/%v: %w", r.Workload.Name, eng, err)
+			}
+			if rep == 0 || d < best[i] {
+				best[i] = d
+				trio[i] = VMPerfRow{
+					Workload:     r.Workload.Name,
+					Engine:       eng.String(),
+					Steps:        res.Steps,
+					WallNs:       d.Nanoseconds(),
+					AllocsPerOp:  m1.Mallocs - m0.Mallocs,
+					TierUps:      res.TierUps,
+					TierDeopts:   res.TierDeopts,
+					TierSegExecs: res.TierSegExecs,
 				}
 			}
 		}
-		swWall := trio[len(trio)-1].WallNs
-		for i := range trio {
-			r := &trio[i]
-			if r.WallNs > 0 {
-				r.InstrPerSec = float64(r.Steps) / (float64(r.WallNs) / 1e9)
-				r.NsPerInstr = float64(r.WallNs) / float64(r.Steps)
-				if r.Engine != "switch" {
-					r.Speedup = float64(swWall) / float64(r.WallNs)
-				}
-			}
-		}
-		if fusedWall := trio[1].WallNs; fusedWall > 0 && trio[0].WallNs > 0 {
-			trio[0].CompiledOverFused = float64(fusedWall) / float64(trio[0].WallNs)
-		}
-		rows = append(rows, trio...)
 	}
-	return rows, nil
+	swWall := trio[len(trio)-1].WallNs
+	for i := range trio {
+		t := &trio[i]
+		if t.WallNs > 0 {
+			t.InstrPerSec = float64(t.Steps) / (float64(t.WallNs) / 1e9)
+			t.NsPerInstr = float64(t.WallNs) / float64(t.Steps)
+			if t.Engine != "switch" {
+				t.Speedup = float64(swWall) / float64(t.WallNs)
+			}
+		}
+	}
+	if fusedWall := trio[1].WallNs; fusedWall > 0 && trio[0].WallNs > 0 {
+		trio[0].CompiledOverFused = float64(fusedWall) / float64(trio[0].WallNs)
+	}
+	return trio, nil
 }
 
 // VMPerfGeomeanSpeedup returns the geometric-mean fused-over-switch
@@ -149,34 +193,4 @@ func VMPerfGeomeanCompiledOverFused(rows []VMPerfRow) float64 {
 		return 0
 	}
 	return math.Exp(logSum / float64(n))
-}
-
-// FormatVMPerf renders the execution-engine performance rows.
-func FormatVMPerf(rows []VMPerfRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "VM execution-engine performance (mode A, conditional barriers)\n")
-	fmt.Fprintf(&b, "%-7s %-9s %12s %12s %12s %10s %8s %8s %14s\n",
-		"bench", "engine", "steps", "Minstr/s", "ns/instr", "allocs/op", "speedup", "vs fused", "tier up/de/seg")
-	for _, r := range rows {
-		speedup, vsFused, tier := "", "", ""
-		if r.Speedup > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.Speedup)
-		}
-		if r.CompiledOverFused > 0 {
-			vsFused = fmt.Sprintf("%.2fx", r.CompiledOverFused)
-		}
-		if r.Engine == "compiled" {
-			tier = fmt.Sprintf("%d/%d/%d", r.TierUps, r.TierDeopts, r.TierSegExecs)
-		}
-		fmt.Fprintf(&b, "%-7s %-9s %12d %12.2f %12.2f %10d %8s %8s %14s\n",
-			r.Workload, r.Engine, r.Steps, r.InstrPerSec/1e6, r.NsPerInstr,
-			r.AllocsPerOp, speedup, vsFused, tier)
-	}
-	if g := VMPerfGeomeanSpeedup(rows); g > 0 {
-		fmt.Fprintf(&b, "geomean fused speedup: %.2fx\n", g)
-	}
-	if g := VMPerfGeomeanCompiledOverFused(rows); g > 0 {
-		fmt.Fprintf(&b, "geomean compiled over fused: %.2fx\n", g)
-	}
-	return b.String()
 }

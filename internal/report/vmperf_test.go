@@ -6,7 +6,7 @@ import (
 )
 
 func TestVMPerfShape(t *testing.T) {
-	rows, err := VMPerf(DefaultInlineLimit)
+	rows, err := VMPerf.Rows(NewRunner(defaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestVMPerfShape(t *testing.T) {
 	if g := VMPerfGeomeanCompiledOverFused(rows); g <= 0 {
 		t.Errorf("compiled-over-fused geomean = %v, want > 0", g)
 	}
-	out := FormatVMPerf(rows)
+	out := VMPerf.Format(defaults, rows)
 	for _, want := range []string{"jess", "jbb", "compiled", "fused", "switch", "geomean", "vs fused"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted output missing %q", want)

@@ -68,7 +68,7 @@ func runEngine(t *testing.T, bd *pipeline.Build, cfg vm.Config, eng vm.Engine) *
 	if eng == vm.EngineCompiled && cfg.TierThreshold == 0 {
 		cfg.TierThreshold = diffTierThreshold
 	}
-	res, err := bd.Run(cfg)
+	res, err := vm.New(bd.Program, cfg).Run()
 	if err != nil {
 		t.Fatalf("engine %v: %v", eng, err)
 	}
@@ -289,12 +289,12 @@ func TestEngineDifferentialStepBudget(t *testing.T) {
 	for _, budget := range []int64{1, 7, 100, 1001, 4999} {
 		cfg := vm.Config{Barrier: satb.ModeAlwaysLog, MaxSteps: budget}
 		cfg.Engine = vm.EngineFused
-		_, ferr := bd.Run(cfg)
+		_, ferr := vm.New(bd.Program, cfg).Run()
 		cfg.Engine = vm.EngineSwitch
-		_, serr := bd.Run(cfg)
+		_, serr := vm.New(bd.Program, cfg).Run()
 		cfg.Engine = vm.EngineCompiled
 		cfg.TierThreshold = diffTierThreshold
-		_, cerr := bd.Run(cfg)
+		_, cerr := vm.New(bd.Program, cfg).Run()
 		if ferr == nil || serr == nil || cerr == nil {
 			t.Fatalf("budget %d: expected exhaustion on every engine (fused=%v switch=%v compiled=%v)",
 				budget, ferr, serr, cerr)

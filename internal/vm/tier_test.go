@@ -75,7 +75,7 @@ func compileTierTest(t *testing.T) *pipeline.Build {
 
 func runTier(t *testing.T, bd *pipeline.Build, cfg vm.Config) *vm.Result {
 	t.Helper()
-	res, err := bd.Run(cfg)
+	res, err := vm.New(bd.Program, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,7 @@ import (
 )
 
 func TestBarrierFlavorMatrixRelations(t *testing.T) {
-	rows, err := report.Barriers(report.DefaultInlineLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := measure(t, report.Barriers)
 	// Index rows by workload then flavor.
 	byWorkload := map[string]map[string]report.BarrierRow{}
 	for _, r := range rows {

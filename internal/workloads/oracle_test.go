@@ -44,14 +44,14 @@ func TestOracleAllWorkloads(t *testing.T) {
 					if d := b.Report.Degraded(); len(d) > 0 {
 						t.Errorf("methods degraded under default budgets: %v", d)
 					}
-					res, err := b.Run(vm.Config{
+					res, err := vm.New(b.Program, vm.Config{
 						Barrier:            satb.ModeConditional,
 						GC:                 vm.GCSATB,
 						TriggerEveryAllocs: 256,
 						CheckInvariant:     true,
 						CheckElisions:      true,
 						Engine:             vm.EngineCompiled,
-					})
+					}).Run()
 					if err != nil {
 						t.Fatalf("oracle violation: %v", err)
 					}

@@ -24,7 +24,7 @@ func buildA(t *testing.T, w *Workload) *pipeline.Build {
 
 func runB(t *testing.T, b *pipeline.Build, cfg vm.Config) *vm.Result {
 	t.Helper()
-	res, err := b.Run(cfg)
+	res, err := vm.New(b.Program, cfg).Run()
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
