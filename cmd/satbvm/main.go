@@ -100,15 +100,6 @@ func main() {
 			Interprocedural: *interproc,
 			Deadline:        *deadline,
 		},
-		Runtime: vm.Config{
-			Barrier:            bm,
-			GC:                 gk,
-			TriggerEveryAllocs: *trigger,
-			CheckInvariant:     *check,
-			CheckElisions:      *oracle,
-			Engine:             eng,
-			TierThreshold:      *tierThreshold,
-		},
 		NoCache: *noCache,
 	})
 	if err != nil {
@@ -120,7 +111,15 @@ func main() {
 				m.Method.QualifiedName(), m.Degraded)
 		}
 	}
-	res, err := b.Exec()
+	res, err := vm.New(b.Program, vm.Config{
+		Barrier:            bm,
+		GC:                 gk,
+		TriggerEveryAllocs: *trigger,
+		CheckInvariant:     *check,
+		CheckElisions:      *oracle,
+		Engine:             eng,
+		TierThreshold:      *tierThreshold,
+	}).Run()
 	if err != nil {
 		fatal(err)
 	}

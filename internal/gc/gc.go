@@ -408,12 +408,19 @@ func (m *IncMarker) Finish(roots []heap.Ref) int {
 			m.shade(r)
 		}
 		work += len(roots)
+		// Rescan the dirty objects already marked, collected before any
+		// is rescanned, so the work does not depend on the map's order:
+		// an object the rescan itself marks is grey, and Step scans it.
+		var rescan []*heap.Object
 		for r := range m.dirty {
 			if o := m.h.Get(r); o != nil && o.Marked {
-				o.RefsOf(m.shade)
-				work++
+				rescan = append(rescan, o)
 			}
 		}
+		for _, o := range rescan {
+			o.RefsOf(m.shade)
+		}
+		work += len(rescan)
 		m.dirty = map[heap.Ref]bool{}
 		for !m.Step(64) {
 		}

@@ -133,6 +133,30 @@ func TestIncrementalUpdateRescansDirty(t *testing.T) {
 	}
 }
 
+// TestIncrementalFinalPauseIsDeterministic: the final pause's work does
+// not depend on the order the dirty set is visited in. Dirty object a is
+// marked and points at dirty object b, which is not: b is found through
+// a's rescan and never counted as a rescan of its own.
+func TestIncrementalFinalPauseIsDeterministic(t *testing.T) {
+	for i := 0; i < 32; i++ {
+		h := newHeap()
+		a, _ := h.AllocObject("T")
+		m := NewInc(h)
+		m.Start([]heap.Ref{a}, false)
+		for !m.Step(8) {
+		}
+		b, _ := h.AllocObject("T")
+		h.SetField(a, nextField, heap.RefVal(b))
+		m.DirtyCard(a)
+		m.DirtyCard(b)
+		// Two rounds, each shading the one root; the first rescans a and
+		// marks b.
+		if work := m.Finish([]heap.Ref{a}); work != 4 {
+			t.Fatalf("trial %d: final pause work = %d, want 4", i, work)
+		}
+	}
+}
+
 func TestIncrementalFinalPauseGrowsWithDirtyVolume(t *testing.T) {
 	// SATB's final pause should be much smaller than incremental
 	// update's when many objects are modified during marking — the

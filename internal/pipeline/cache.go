@@ -50,8 +50,6 @@ const cacheShardCount = 8
 // output. Workers is semantically inert (results are deterministic for
 // any worker count) but stays in the key so that differential tests
 // comparing worker counts still compile each configuration independently.
-// Runtime is deliberately absent: VM configuration cannot influence a
-// compile, so builds differing only in Runtime share an entry.
 type cacheKey struct {
 	name        string
 	srcHash     [32]byte

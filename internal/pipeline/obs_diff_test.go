@@ -22,13 +22,12 @@ func compileAndExec(t *testing.T, name string, rt vm.Config) (*Build, *vm.Result
 	b, err := Compile(w.Name, w.Source, Options{
 		InlineLimit: 100,
 		Analysis:    core.Options{Mode: core.ModeFieldArray, NullOrSame: true},
-		Runtime:     rt,
 		NoCache:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Exec()
+	res, err := vm.New(b.Program, rt).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,39 +152,5 @@ func TestInjectableCacheIsolation(t *testing.T) {
 	}
 	if b3.CacheHit {
 		t.Error("fresh cache instance must not share entries")
-	}
-}
-
-// TestCacheHitCarriesCallerRuntime pins the rule that a cache hit adopts
-// the calling compile's Options — in particular its Runtime — rather than
-// the config of whichever compile populated the entry.
-func TestCacheHitCarriesCallerRuntime(t *testing.T) {
-	cache := NewCache(8)
-	base := Options{InlineLimit: 50, Cache: cache}
-
-	first := base
-	first.Runtime = vm.Config{Barrier: satb.ModeAlwaysLog}
-	if _, err := Compile("rtstamp", cacheTestSrc, first); err != nil {
-		t.Fatal(err)
-	}
-
-	second := base
-	second.Runtime = vm.Config{Barrier: satb.ModeNoBarrier}
-	b, err := Compile("rtstamp", cacheTestSrc, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.CacheHit {
-		t.Fatal("second compile must hit (Runtime is not part of the cache key)")
-	}
-	if b.Options.Runtime.Barrier != satb.ModeNoBarrier {
-		t.Errorf("cache hit kept the populating compile's Runtime: %+v", b.Options.Runtime)
-	}
-	res, err := b.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.Logged != 0 {
-		t.Errorf("Exec ran under the wrong barrier mode: %d log entries under ModeNoBarrier", res.Counters.Logged)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"satbelim/internal/minijava"
 	"satbelim/internal/obs"
 	"satbelim/internal/verifier"
-	"satbelim/internal/vm"
 )
 
 // BarrierInlineBytes models the machine-code footprint of one inline SATB
@@ -33,11 +32,11 @@ const BarrierInlineBytes = 40
 // code-size model.
 const CodeExpansionFactor = 8
 
-// Options is the single configuration surface for a build and its
-// execution: compile-side knobs live directly on Options, analysis knobs
-// in the Analysis sub-struct, and VM/runtime knobs in the Runtime
-// sub-struct — a new knob is added in exactly one of those places, never
-// mirrored.
+// Options is the configuration surface of a build: compile-side knobs
+// live directly on Options and analysis knobs in the Analysis sub-struct
+// — a new knob is added in exactly one of those places, never mirrored.
+// How a build runs is the caller's vm.Config, passed to vm.New with
+// Build.Program.
 type Options struct {
 	// InlineLimit is the maximum callee bytecode size to inline
 	// (paper §4.4: 0/25/50/100/200).
@@ -45,8 +44,6 @@ type Options struct {
 	// Analysis selects the barrier analysis configuration (B/F/A and
 	// extensions).
 	Analysis core.Options
-	// Runtime is the VM configuration Build.Exec runs under.
-	Runtime vm.Config
 	// Workers is the per-method fan-out width for the verify and
 	// analysis stages (both are intra-procedural after inlining, so
 	// methods are independent). <= 0 means GOMAXPROCS. Results are
@@ -151,9 +148,8 @@ func CompileCtx(ctx context.Context, name, source string, opts Options) (*Build,
 		return nil, err
 	}
 	if fromCache {
-		// The copy is caller-private: stamp the caller's Options on it
-		// so Exec runs under the caller's Runtime config, not the
-		// original compiler's.
+		// The copy is caller-private: it reports the hit and carries
+		// the caller's Options.
 		cp := *b
 		cp.CacheHit = true
 		cp.Options = opts
@@ -261,15 +257,4 @@ func verifyParallel(p *bytecode.Program, workers int) error {
 		}
 	}
 	return nil
-}
-
-// Exec executes the built program on the VM under Options.Runtime.
-func (b *Build) Exec() (*vm.Result, error) {
-	return vm.New(b.Program, b.Options.Runtime).Run()
-}
-
-// ExecContext executes the built program on the VM under Options.Runtime,
-// aborting at a scheduler-quantum boundary when ctx is cancelled.
-func (b *Build) ExecContext(ctx context.Context) (*vm.Result, error) {
-	return vm.New(b.Program, b.Options.Runtime).RunContext(ctx)
 }

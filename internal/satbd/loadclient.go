@@ -19,6 +19,7 @@ import (
 	"satbelim/internal/pipeline"
 	"satbelim/internal/progen"
 	"satbelim/internal/report"
+	"satbelim/internal/vm"
 )
 
 // LoadConfig drives RunLoad, the daemon's load/chaos client: it hammers
@@ -285,7 +286,7 @@ func verifyOutput(local *pipeline.Cache, name, src string, doc *report.Document)
 	if err != nil {
 		return []string{fmt.Sprintf("%s: local baseline compile failed: %v", name, err)}
 	}
-	res, err := b.Exec()
+	res, err := vm.New(b.Program, vm.Config{}).Run()
 	if err != nil {
 		return []string{fmt.Sprintf("%s: local baseline run failed: %v", name, err)}
 	}

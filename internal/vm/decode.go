@@ -18,9 +18,11 @@ import (
 // the hottest instruction sequences (loop headers, local increments,
 // array element stores, field stores from locals) into superinstructions.
 //
+// Fusion serves fused dispatch only (VM.dispatch): the compiled tier
+// translates the plain instructions and never reads the fused table.
 // Fusion never changes semantics: the per-pc plain instructions are kept
-// alongside each fused head, and the executor only takes the fused form
-// when the whole sequence fits in the remaining scheduler quantum and
+// alongside each fused head, and dispatch only takes the fused form when
+// the whole sequence fits in the remaining scheduler quantum and
 // instruction budget — otherwise it replays the exact per-instruction
 // path of the reference interpreter, including mid-sequence thread
 // rotation. Branches into the middle of a fused region simply execute the

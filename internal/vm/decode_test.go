@@ -108,16 +108,21 @@ func TestFusionPatternDetection(t *testing.T) {
 func TestBranchIntoFusedRegion(t *testing.T) {
 	p := buildBranchIntoFused()
 	var results []*Result
-	for _, eng := range []Engine{EngineFused, EngineSwitch} {
+	// The compiled engine tiers main up on its first back-edge, so the
+	// mid-region branch target is also checked in compiled code.
+	for _, eng := range []Engine{EngineFused, EngineSwitch, EngineCompiled} {
 		// Quantum 3 additionally forces fused ops to straddle quantum
 		// boundaries and fall back to single-instruction execution.
 		for _, quantum := range []int{0, 3} {
-			res, err := New(p, Config{Engine: eng, Quantum: quantum}).Run()
+			res, err := New(p, Config{Engine: eng, Quantum: quantum, TierThreshold: 1}).Run()
 			if err != nil {
 				t.Fatalf("engine %v quantum %d: %v", eng, quantum, err)
 			}
 			if !reflect.DeepEqual(res.Output, []int64{15}) {
 				t.Errorf("engine %v quantum %d: output = %v, want [15]", eng, quantum, res.Output)
+			}
+			if eng == EngineCompiled && res.TierSegExecs == 0 {
+				t.Errorf("quantum %d: the compiled engine ran no compiled segment", quantum)
 			}
 			results = append(results, res)
 		}

@@ -68,6 +68,33 @@ func (v *VM) spawn(callee *dmethod, recv heap.Value) {
 	v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
 }
 
+// dispatch executes the instruction at f.pc and returns how many base
+// instructions it covered: the superinstruction the pc heads when all n
+// of its base instructions fit in room (what is left of the scheduler
+// quantum) and in the remaining instruction budget, otherwise the plain
+// instruction, so thread rotation and budget exhaustion happen at exactly
+// the same instruction as in the reference engine. Unless the compiled
+// tier is off, the instruction first passes the tier's hotness probe; a
+// compare-and-branch superinstruction whose branch jumps backward heats
+// the method as that branch would.
+func (v *VM) dispatch(t *fthread, f *fframe, room int) (int, error) {
+	in := &f.m.code[f.pc]
+	var fi *finstr
+	if in.fuse >= 0 {
+		fi = &f.m.fused[in.fuse]
+	}
+	if !v.tierOff {
+		v.tierNote(f, in)
+		if fi != nil && (fi.op == fLLCmpBr || fi.op == fLCCmpBr) && fi.d <= f.pc {
+			v.tierBump(f.m)
+		}
+	}
+	if fi != nil && int(fi.n) <= room && v.steps+int64(fi.n) <= v.maxSteps {
+		return int(fi.n), v.execFused(t, f, fi)
+	}
+	return 1, v.stepFused(t, f, in)
+}
+
 // stepFused executes one plain decoded instruction. It is the switch
 // interpreter's step() over the resolved form.
 func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {

@@ -8,13 +8,13 @@ import (
 )
 
 // This file is the compiled hot-method tier (EngineCompiled), the third
-// execution engine. Methods start on fused dispatch; once a method's exec
-// counter (entries + loop back-edges) crosses Config.TierThreshold it is
-// translated to closure-threaded code: the decoded body is partitioned
-// into straight-line segments (every branch target, call return point,
-// and post-terminator pc is a segment leader), each segment becomes an
-// array of continuation closures plus one terminator closure whose branch
-// targets are resolved to segment indices.
+// execution engine. Methods start on interpreted dispatch (VM.dispatch);
+// once a method's exec counter (entries + loop back-edges) crosses
+// Config.TierThreshold it is translated to closure-threaded code: the
+// decoded body is partitioned into straight-line segments (every branch
+// target, call return point, and post-terminator pc is a segment leader),
+// each segment becomes an array of continuation closures plus one
+// terminator closure whose branch targets are resolved to segment indices.
 //
 // Translation is a real compile, not a re-packaging of dispatch:
 //
@@ -37,9 +37,14 @@ import (
 //     its shared satb.BarrierSiteSpec branch so cost accounting stays
 //     bit-identical, and with the oracle armed it checks compiled stores
 //     exactly as it checks interpreted ones.
-//   - Fused superinstructions are preserved: non-branch forms become
-//     thunks or standalone compiled ops covering the same base span;
-//     compare-and-branch forms become segment terminators.
+//   - Translation reads only the plain decoded instructions; the
+//     superinstructions of interpreted dispatch are its private detail.
+//     The hot shapes are composition leaf shapes instead, each one flat
+//     closure: add/sub/mul and integer comparisons of a local with a
+//     local or a constant (leafArith; a branch on such a comparison runs
+//     it inside the terminator), and stores whose operands are all locals
+//     or constants (a local from a local or a constant, a field of a
+//     local, an element of a local array at a local index).
 //
 // Parity with the other engines is structural, not hoped for:
 //
@@ -48,8 +53,9 @@ import (
 //     ROADMAP names), but a segment executes ONLY when all of its base
 //     instructions fit in both the remaining quantum and the remaining
 //     instruction budget. Anything that would straddle a boundary deopts
-//     to fused dispatch for the tail, which rotates threads and exhausts
-//     budgets at exactly the same instruction as the reference engines.
+//     to interpreted dispatch for the tail, which rotates threads and
+//     exhausts budgets at exactly the same instruction as the reference
+//     engines.
 //     Thread interleaving — and therefore GC timing, barrier logging, and
 //     RunContext cancellation points — is reproduced bit for bit.
 //   - Step accounting is exact on every path. Each compiled op knows the
@@ -65,7 +71,7 @@ import (
 //     base instruction it covers (the store is the op's last).
 //   - Conditions the tier cannot handle fall back mid-run with identical
 //     semantics: a forced deopt (Config.TierForceDeoptAfter) permanently
-//     re-enters fused dispatch, and a pc that is not a segment entry
+//     re-enters interpreted dispatch, and a pc that is not a segment entry
 //     point (resuming a quantum mid-expression) simply interprets until
 //     the next one.
 
@@ -167,16 +173,12 @@ func (v *VM) charged(err error, w int32) error {
 }
 
 // runDecodedQuantum executes up to Quantum base instructions on one
-// thread of the fused or compiled engine (on fused, tierOff is set from
-// the start, so no method ever tiers up). Compiled segments execute only
-// when they fit the remaining quantum and instruction budget in full;
-// everything else — cold methods, mid-segment resume points, quantum
-// tails, budget tails, forced deopt — runs on fused dispatch: a
-// superinstruction covering n base instructions executes only when all n
-// fit in both the remaining quantum and the remaining instruction budget,
-// otherwise the plain per-pc instructions run, so thread rotation and
-// budget exhaustion happen at exactly the same instruction as in the
-// reference engine.
+// thread of either decoded engine (tierOff is set from the start on all
+// but the compiled one, so no method ever tiers up). Compiled segments
+// execute only when they fit the remaining quantum and instruction budget
+// in full; everything else — cold methods, mid-segment resume points, quantum
+// tails, budget tails, forced deopt — runs on VM.dispatch, which keeps
+// the same quantum and budget boundaries as the reference engine.
 func (v *VM) runDecodedQuantum(t *fthread) error {
 	q := v.cfg.Quantum
 	for i := 0; i < q; {
@@ -277,8 +279,11 @@ func (v *VM) runDecodedQuantum(t *fthread) error {
 						if int(f.pc) >= len(f.m.code) || f.m.tier == nil {
 							break
 						}
+						// The entry point need not be a segment head:
+						// a pc that superblock growth duplicated into a
+						// later segment resumes there, mid-segment.
 						cm = f.m.tier
-						si = cm.eSeg[f.pc]
+						si, k, wbase = cm.eSeg[f.pc], cm.eOp[f.pc], cm.eW[f.pc]
 					}
 				}
 				if ran {
@@ -286,30 +291,16 @@ func (v *VM) runDecodedQuantum(t *fthread) error {
 				}
 				// Compiled code was available but not even one entry
 				// boundary fit the remaining quantum or budget: deopt to
-				// fused dispatch until one does.
+				// interpreted dispatch until one does.
 				v.tierDeopts++
 			}
 		}
 
-		in := &f.m.code[f.pc]
-		if !v.tierOff {
-			v.tierNote(f, in)
-		}
-		if in.fuse >= 0 {
-			fi := &f.m.fused[in.fuse]
-			n := int(fi.n)
-			if i+n <= q && v.steps+int64(n) <= v.maxSteps {
-				if err := v.execFused(t, f, fi); err != nil {
-					return err
-				}
-				i += n
-				continue
-			}
-		}
-		if err := v.stepFused(t, f, in); err != nil {
+		n, err := v.dispatch(t, f, q-i)
+		if err != nil {
 			return err
 		}
-		i++
+		i += n
 	}
 	return nil
 }
@@ -331,9 +322,8 @@ func (v *VM) runSegPart(t *fthread, f *fframe, seg *cseg, k, k2, wbase, w2 int32
 	return nil
 }
 
-// tierNote is the hotness probe on the fused per-instruction path: loop
-// back-edges (plain or at the head of a fused compare-and-branch) heat
-// the current method, calls heat the callee. Crossing the threshold
+// tierNote is the hotness probe of interpreted dispatch: loop back-edges
+// heat the current method, calls heat the callee. Crossing the threshold
 // translates the method immediately, so a hot loop tiers up mid-method.
 func (v *VM) tierNote(f *fframe, in *dinstr) {
 	switch in.op {
@@ -342,12 +332,6 @@ func (v *VM) tierNote(f *fframe, in *dinstr) {
 	case dGoto, dIfTrue, dIfFalse, dIfNull, dIfNonNull:
 		if in.a <= f.pc {
 			v.tierBump(f.m)
-		}
-	case dLoad:
-		if in.fuse >= 0 {
-			if fi := &f.m.fused[in.fuse]; (fi.op == fLLCmpBr || fi.op == fLCCmpBr) && fi.d <= f.pc {
-				v.tierBump(f.m)
-			}
 		}
 	}
 }
@@ -381,8 +365,8 @@ func (v *VM) tierUp(dm *dmethod) {
 }
 
 // forceDeopt abandons all compiled methods for the rest of the run
-// (Config.TierForceDeoptAfter): execution permanently re-enters fused
-// dispatch, the tier's deopt target, with identical semantics.
+// (Config.TierForceDeoptAfter): execution permanently re-enters
+// interpreted dispatch, the tier's deopt target, with identical semantics.
 func (v *VM) forceDeopt() {
 	v.tierOff = true
 	v.tierDeopts++
@@ -410,6 +394,7 @@ type thunk struct {
 	isLocal bool // exactly "load local" (reads f.locals[local])
 	local   int32
 	cv      heap.Value // the constant, when isConst
+	cmp     *leafCmp   // the comparison, when the thunk is a leaf one
 }
 
 // segBuilder accumulates one segment's compiled ops while simulating the
@@ -517,25 +502,18 @@ func (sb *segBuilder) emit(op cop, w int32) {
 // push defers a value producer.
 func (sb *segBuilder) push(th thunk) { sb.sym = append(sb.sym, th) }
 
-// take removes the top k thunks for composition into a consumer. It
-// refuses (materializing everything, so the caller must fall back to a
-// stack-consuming op) when fewer than k thunks are deferred or when a
-// deeper non-const thunk would be reordered past the consumer's side
-// effect.
+// take removes the top k thunks for composition into a consumer. When
+// fewer than k are deferred it declines, materializing everything, so the
+// caller must fall back to a stack-consuming op. Deeper thunks stay
+// deferred either way without reordering anything: a composed producer
+// stays above them on the symbolic stack, and emit materializes them
+// before a consumer's side effect. The returned thunks share the
+// symbolic stack's storage, so they are valid only until the next push.
 func (sb *segBuilder) take(k int) ([]thunk, bool) {
-	if len(sb.sym) >= k {
-		ok := true
-		for _, th := range sb.sym[:len(sb.sym)-k] {
-			if !th.isConst {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ths := append([]thunk(nil), sb.sym[len(sb.sym)-k:]...)
-			sb.sym = sb.sym[:len(sb.sym)-k]
-			return ths, true
-		}
+	if n := len(sb.sym); n >= k {
+		ths := sb.sym[n-k : n : n]
+		sb.sym = sb.sym[:n-k]
+		return ths, true
 	}
 	sb.flush()
 	return nil, false
@@ -658,46 +636,16 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 	visited := map[int]bool{head: true}
 
 	var termW int32
-	done := false
-	for !done {
+	for {
 		opsEnd := end
 		if termPC >= 0 {
 			opsEnd = termPC
 		}
-		for pc := head; pc < opsEnd; {
-			if in := &code[pc]; in.fuse >= 0 {
-				fi := &dm.fused[in.fuse]
-				if fi.op == fLLCmpBr || fi.op == fLCCmpBr {
-					// A fused compare-and-branch whose branch is this
-					// segment's terminator becomes the terminator itself
-					// (it reads locals only, so post-flush it is a valid
-					// entry point).
-					if termPC >= 0 && pc+int(fi.n)-1 == termPC {
-						done = true
-						sb.flush()
-						entry(pc)
-						seg.term = v.compileFusedBranch(cm, fi, pc)
-						termW = int32(fi.n)
-						break
-					}
-				} else if pc+int(fi.n) <= opsEnd {
-					if len(sb.sym) == 0 {
-						entry(pc)
-					}
-					if v.addFused(sb, dm, fi, pc) {
-						pc += int(fi.n)
-						continue
-					}
-				}
-			}
+		for pc := head; pc < opsEnd; pc++ {
 			if len(sb.sym) == 0 {
 				entry(pc)
 			}
 			v.addPlain(sb, dm, pc)
-			pc++
-		}
-		if done {
-			break
 		}
 		if termPC >= 0 {
 			if code[termPC].op == dGoto {
@@ -949,19 +897,14 @@ func (v *VM) newArrayThunk(dm *dmethod, n thunk, isRef bool, pc int32) thunk {
 // fallible ones).
 func (v *VM) arithThunk(op dop, a, b thunk, pc int32) thunk {
 	w := a.w + b.w + 1
+	if a.isLocal && (b.isLocal || b.isConst) {
+		if th, ok := leafArith(op, a.local, b, w); ok {
+			return th
+		}
+	}
 	aw := a.w
 	var eval2 func(t *fthread, f *fframe) (int64, int64, error)
 	switch {
-	case a.isLocal && b.isLocal:
-		ai, bi := a.local, b.local
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
-			return f.locals[ai].I, f.locals[bi].I, nil
-		}
-	case a.isLocal && b.isConst:
-		ai, bc := a.local, b.cv.I
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
-			return f.locals[ai].I, bc, nil
-		}
 	case a.isConst && b.isLocal:
 		ac, bi := a.cv.I, b.local
 		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
@@ -1060,6 +1003,53 @@ func (v *VM) arithThunk(op dop, a, b thunk, pc int32) thunk {
 	return thunk{ev: ev, w: w, canFail: canFail, pure: a.pure && b.pure && !canFail}
 }
 
+// leafArith is the one flat closure for the hottest arithmetic shapes:
+// add, sub, mul or an integer comparison of a local with a local or a
+// constant (loop steps, loop tests, index arithmetic). A comparison keeps
+// its leafCmp, so a branch on it composes the comparison itself. It
+// declines every other op.
+func leafArith(op dop, ai int32, b thunk, w int32) (thunk, bool) {
+	bi, bc := b.local, b.cv.I
+	var ev cval
+	switch op {
+	case dAdd, dSub, dMul:
+		if b.isLocal {
+			ev = func(t *fthread, f *fframe) (heap.Value, error) {
+				return heap.IntVal(arith(op, f.locals[ai].I, f.locals[bi].I)), nil
+			}
+		} else {
+			ev = func(t *fthread, f *fframe) (heap.Value, error) {
+				return heap.IntVal(arith(op, f.locals[ai].I, bc)), nil
+			}
+		}
+		return thunk{ev: ev, w: w, pure: true}, true
+	case dCmpEQ, dCmpNE, dCmpLT, dCmpLE, dCmpGT, dCmpGE:
+		lc := &leafCmp{op: op, a: ai, b: bi, bLocal: b.isLocal, c: bc}
+		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+			return heap.IntVal(b2i(lc.eval(f))), nil
+		}
+		return thunk{ev: ev, w: w, pure: true, cmp: lc}, true
+	}
+	return thunk{}, false
+}
+
+// leafCmp is an integer comparison of local a with local b (bLocal) or
+// the constant c.
+type leafCmp struct {
+	op     dop
+	a, b   int32
+	bLocal bool
+	c      int64
+}
+
+func (lc *leafCmp) eval(f *fframe) bool {
+	y := lc.c
+	if lc.bLocal {
+		y = f.locals[lc.b].I
+	}
+	return intCmp(lc.op, f.locals[lc.a].I, y)
+}
+
 func (v *VM) refCmpThunk(eq bool, a, b thunk) thunk {
 	if a.isLocal && b.isLocal {
 		ai, bi := a.local, b.local
@@ -1105,9 +1095,11 @@ func unaryThunk(op dop, x thunk) thunk {
 }
 
 // popThunk reads an operand from the real stack at run time (used by the
-// stack-consuming fallbacks when nothing is deferred).
+// stack-consuming fallbacks when nothing is deferred). Like every thunk
+// that reads the real stack it is not pure: dropping it would leave its
+// operand on the stack.
 func popThunk() thunk {
-	return thunk{ev: func(t *fthread, f *fframe) (heap.Value, error) { return f.pop(), nil }, pure: true}
+	return thunk{ev: func(t *fthread, f *fframe) (heap.Value, error) { return f.pop(), nil }}
 }
 
 // ---------------------------------------------------------------------
@@ -1115,8 +1107,6 @@ func popThunk() thunk {
 // ---------------------------------------------------------------------
 
 // operand pops one deferred thunk or falls back to a runtime stack pop.
-// Single-operand consumers can always compose; take() handles the
-// multi-operand ordering constraints.
 func (sb *segBuilder) operand() thunk {
 	if ths, ok := sb.take(1); ok {
 		return ths[0]
@@ -1129,6 +1119,13 @@ func (v *VM) storeOp(a int32, val thunk) cop {
 		b := val.local
 		return func(t *fthread, f *fframe) error {
 			f.locals[a] = f.locals[b]
+			return nil
+		}
+	}
+	if val.isConst {
+		c := val.cv
+		return func(t *fthread, f *fframe) error {
+			f.locals[a] = c
 			return nil
 		}
 	}
@@ -1259,6 +1256,30 @@ func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
 
 func (v *VM) arrayStoreOp(arr, idx, val thunk, site *siteRec, pc int32) cop {
 	w := arr.w + idx.w + val.w + 1
+	if arr.isLocal && idx.isLocal && val.isLocal {
+		ai, ii, vi := arr.local, idx.local, val.local
+		return func(t *fthread, f *fframe) error {
+			arrv := f.locals[ai]
+			idxv := f.locals[ii].I
+			valv := f.locals[vi]
+			if arrv.R == heap.Null {
+				return v.cerr(f, pc, w, "null pointer dereference in array store")
+			}
+			o := v.heap.Get(arrv.R)
+			if o == nil {
+				return v.cerr(f, pc, w, "heap: null array dereference")
+			}
+			if idxv < 0 || idxv >= int64(len(o.Elems)) {
+				return v.cerr(f, pc, w, "heap: index %d out of bounds [0,%d)", idxv, len(o.Elems))
+			}
+			old := o.Elems[idxv]
+			o.Elems[idxv] = valv
+			if site != nil {
+				return v.charged(v.storeBarrier(site, t.id, old.R, valv.R, arrv.R), w)
+			}
+			return nil
+		}
+	}
 	aw, iw := arr.w, idx.w
 	return func(t *fthread, f *fframe) error {
 		arrv, err := arr.ev(t, f)
@@ -1323,14 +1344,7 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 		if ths, ok := sb.take(2); ok {
 			sb.push(v.aaloadThunk(ths[0], ths[1], in.op == dAALoad, pcc))
 		} else {
-			idx := popThunk()
-			arr := popThunk()
-			// Runtime pops run in pop order (idx first), so the thunk
-			// evaluation order inside aaloadThunk must see arr first:
-			// wrap to pop both up front.
 			sb.push(v.stackAALoadThunk(in.op == dAALoad, pcc))
-			_ = idx
-			_ = arr
 		}
 	case dArrayLength:
 		sb.push(v.arrayLengthThunk(sb.operand(), pcc))
@@ -1462,7 +1476,7 @@ func (v *VM) stackRefCmpThunk(eq bool) thunk {
 			y, x := f.pop().R, f.pop().R
 			return heap.IntVal(b2i((x == y) == eq)), nil
 		},
-		w: 1, pure: true,
+		w: 1,
 	}
 }
 
@@ -1535,178 +1549,9 @@ func (v *VM) stackArrayStoreOp(site *siteRec, pc int32) cop {
 	}
 }
 
-// addFused translates one non-branch fused superinstruction, preserving
-// execFused's error pcs and all-steps-credited-up-front accounting (fused
-// patterns only fail at their final component). Returns false for forms
-// the caller should fall back to plain per-instruction translation on.
-func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
-	pcc := int32(pc)
-	n := int32(fi.n)
-	switch fi.op {
-	case fLGetFieldRef, fLGetFieldInt:
-		a, fr, isRef := fi.a, &dm.fields[fi.b], fi.op == fLGetFieldRef
-		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				obj := f.locals[a]
-				if obj.R == heap.Null {
-					return obj, v.cerr(f, pcc+1, n, "null pointer dereference reading %s", fr.ref)
-				}
-				o := v.heap.Get(obj.R)
-				if o == nil {
-					return obj, v.cerr(f, pcc+1, n, "heap: null dereference reading %s", fr.ref)
-				}
-				val := o.Fields[fr.idx]
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
-			},
-			w: n, canFail: true,
-		})
-	case fLLAALoad, fLLIALoad:
-		a, b, isRef := fi.a, fi.b, fi.op == fLLAALoad
-		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				arr := f.locals[a]
-				idx := f.locals[b].I
-				if arr.R == heap.Null {
-					return arr, v.cerr(f, pcc+2, n, "null pointer dereference in array load")
-				}
-				o := v.heap.Get(arr.R)
-				if o == nil {
-					return arr, v.cerr(f, pcc+2, n, "heap: null array dereference")
-				}
-				if idx < 0 || idx >= int64(len(o.Elems)) {
-					return arr, v.cerr(f, pcc+2, n, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-				}
-				val := o.Elems[idx]
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
-			},
-			w: n, canFail: true,
-		})
-	case fLLArith:
-		a, b, aop := fi.a, fi.b, dop(fi.c)
-		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				return heap.IntVal(arith(aop, f.locals[a].I, f.locals[b].I)), nil
-			},
-			w: n, pure: true,
-		})
-	case fLCArith:
-		a, aop, imm := fi.a, dop(fi.c), fi.imm
-		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				return heap.IntVal(arith(aop, f.locals[a].I, imm)), nil
-			},
-			w: n, pure: true,
-		})
-
-	case fIncLocal:
-		src, dst, aop, imm := fi.a, fi.b, dop(fi.c), fi.imm
-		sb.emit(func(t *fthread, f *fframe) error {
-			f.locals[dst] = heap.IntVal(arith(aop, f.locals[src].I, imm))
-			return nil
-		}, n)
-	case fConstStore:
-		dst, imm := fi.b, fi.imm
-		sb.emit(func(t *fthread, f *fframe) error {
-			f.locals[dst] = heap.IntVal(imm)
-			return nil
-		}, n)
-	case fLLPutFieldRef, fLLPutFieldInt:
-		a, b, fr := fi.a, fi.b, &dm.fields[fi.c]
-		var site *siteRec
-		if fi.op == fLLPutFieldRef {
-			site = &dm.sites[fi.site]
-		}
-		sb.emit(func(t *fthread, f *fframe) error {
-			obj := f.locals[a]
-			val := f.locals[b]
-			if obj.R == heap.Null {
-				return v.cerr(f, pcc+2, n, "null pointer dereference writing %s", fr.ref)
-			}
-			o := v.heap.Get(obj.R)
-			if o == nil {
-				return v.cerr(f, pcc+2, n, "heap: null dereference writing %s", fr.ref)
-			}
-			old := o.Fields[fr.idx]
-			o.Fields[fr.idx] = val
-			if site != nil {
-				return v.charged(v.storeBarrier(site, t.id, old.R, val.R, obj.R), n)
-			}
-			return nil
-		}, n)
-	case fLLLAAStore, fLLLIAStore:
-		a, b, c := fi.a, fi.b, fi.c
-		var site *siteRec
-		if fi.op == fLLLAAStore {
-			site = &dm.sites[fi.site]
-		}
-		sb.emit(func(t *fthread, f *fframe) error {
-			arr := f.locals[a]
-			idx := f.locals[b].I
-			val := f.locals[c]
-			if arr.R == heap.Null {
-				return v.cerr(f, pcc+3, n, "null pointer dereference in array store")
-			}
-			o := v.heap.Get(arr.R)
-			if o == nil {
-				return v.cerr(f, pcc+3, n, "heap: null array dereference")
-			}
-			if idx < 0 || idx >= int64(len(o.Elems)) {
-				return v.cerr(f, pcc+3, n, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-			}
-			old := o.Elems[idx]
-			o.Elems[idx] = val
-			if site != nil {
-				return v.charged(v.storeBarrier(site, t.id, old.R, val.R, arr.R), n)
-			}
-			return nil
-		}, n)
-	default:
-		return false
-	}
-	return true
-}
-
 // ---------------------------------------------------------------------
 // Terminators
 // ---------------------------------------------------------------------
-
-// compileFusedBranch translates a fused compare-and-branch terminator
-// with both edges resolved to segment indices.
-func (v *VM) compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
-	target := fi.d
-	tsi := cm.segIdxAt(int(fi.d))
-	fallPC := int32(pc + int(fi.n))
-	fsi := cm.segIdxAt(pc + int(fi.n))
-	wantTrue := fi.e != 0
-	cmp := dop(fi.c)
-	a := fi.a
-	if fi.op == fLLCmpBr {
-		b := fi.b
-		return func(t *fthread, f *fframe) (int32, error) {
-			if intCmp(cmp, f.locals[a].I, f.locals[b].I) == wantTrue {
-				f.pc = target
-				return tsi, nil
-			}
-			f.pc = fallPC
-			return fsi, nil
-		}
-	}
-	imm := fi.imm
-	return func(t *fthread, f *fframe) (int32, error) {
-		if intCmp(cmp, f.locals[a].I, imm) == wantTrue {
-			f.pc = target
-			return tsi, nil
-		}
-		f.pc = fallPC
-		return fsi, nil
-	}
-}
 
 // composedTerm tries to build the terminator at pc with a single
 // infallible deferred condition/operand composed into it (a fallible
@@ -1796,6 +1641,19 @@ func (v *VM) composedTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cte
 			tsi := cm.segIdxAt(int(in.a))
 			fsi := cm.segIdxAt(pc + 1)
 			sb.sym = nil
+			if lc := th.cmp; lc != nil && (op == dIfTrue || op == dIfFalse) {
+				// A loop test: the leaf comparison runs inside the
+				// branch, with no value passed between closures.
+				want := op == dIfTrue
+				return func(t *fthread, f *fframe) (int32, error) {
+					if lc.eval(f) == want {
+						f.pc = target
+						return tsi, nil
+					}
+					f.pc = pcc + 1
+					return fsi, nil
+				}, w, true
+			}
 			return func(t *fthread, f *fframe) (int32, error) {
 				cond, err := th.ev(t, f)
 				if err != nil {

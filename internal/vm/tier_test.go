@@ -12,9 +12,11 @@ import (
 	"reflect"
 	"testing"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/core"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
+	"satbelim/internal/verifier"
 	"satbelim/internal/vm"
 )
 
@@ -203,4 +205,132 @@ func TestTierConfigSurface(t *testing.T) {
 	if res.TierUps == 0 {
 		t.Error("default threshold never tiered up on the hot loop")
 	}
+}
+
+// buildPopOfStackOperand hand-builds a verified program whose main runs
+// a 10-iteration loop with the body
+//
+//	const 5; <combine>; pop; print
+//
+// where combine leaves one value above the 5 that is computed from a
+// call's return value, so it starts from the real operand stack: the
+// pop must discard that value, and every iteration prints 5.
+func buildPopOfStackOperand(t *testing.T, combine func(b *bytecode.Builder)) *bytecode.Program {
+	t.Helper()
+	prog := bytecode.NewProgram()
+	cls := &bytecode.Class{Name: "T"}
+	g := bytecode.NewBuilder("T", "g", true)
+	g.SetReturn(bytecode.Int)
+	g.Const(9)
+	g.ReturnValue()
+	h := bytecode.NewBuilder("T", "h", true)
+	h.SetReturn(bytecode.ClassType("T"))
+	h.Null()
+	h.ReturnValue()
+	b := bytecode.NewBuilder("T", "main", true)
+	i := b.DeclareSlot(bytecode.Int)
+	b.Const(10)
+	b.Store(i)
+	b.Label("loop")
+	b.Const(5)
+	combine(b)
+	b.Op(bytecode.OpPop)
+	b.Op(bytecode.OpPrint)
+	b.Load(i)
+	b.Const(1)
+	b.Op(bytecode.OpSub)
+	b.Store(i)
+	b.Load(i)
+	b.Const(0)
+	b.Op(bytecode.OpCmpGT)
+	b.IfTrue("loop")
+	b.Return()
+	cls.Methods = append(cls.Methods, g.Build(), h.Build(), b.Build())
+	prog.AddClass(cls)
+	prog.Main = bytecode.MethodRef{Class: "T", Name: "main"}
+	if err := verifier.VerifyProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestPopOfStackOperand: a pop whose operand was computed from the real
+// operand stack must pop it on every engine. The compiled tier once
+// dropped such a pop at translation time, leaving the value for the
+// following print.
+func TestPopOfStackOperand(t *testing.T) {
+	g := bytecode.MethodRef{Class: "T", Name: "g"}
+	h := bytecode.MethodRef{Class: "T", Name: "h"}
+	cases := []struct {
+		name    string
+		combine func(b *bytecode.Builder)
+	}{
+		{"neg of a return value", func(b *bytecode.Builder) {
+			b.Invoke(g)
+			b.Op(bytecode.OpNeg)
+		}},
+		{"refeq of return values", func(b *bytecode.Builder) {
+			b.Invoke(h)
+			b.Invoke(h)
+			b.Op(bytecode.OpRefEQ)
+		}},
+	}
+	want := []int64{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}
+	for _, c := range cases {
+		name := c.name
+		prog := buildPopOfStackOperand(t, c.combine)
+		for _, eng := range []vm.Engine{vm.EngineSwitch, vm.EngineFused, vm.EngineCompiled} {
+			res, err := vm.New(prog, vm.Config{Engine: eng, TierThreshold: 2}).Run()
+			if err != nil {
+				t.Fatalf("%s on %v: %v", name, eng, err)
+			}
+			if !reflect.DeepEqual(res.Output, want) {
+				t.Errorf("%s on %v: output = %v, want %v", name, eng, res.Output, want)
+			}
+		}
+	}
+}
+
+// loopAtEntrySource calls, from a compiled loop, a method whose body
+// starts with a loop test. Superblock growth duplicates that test into
+// the loop body's segment, so the callee's entry pc resumes mid-segment.
+const loopAtEntrySource = `
+class T {
+    static int n;
+    static void drain() {
+        while (n > 0) {
+            n = n - 1;
+        }
+    }
+    static void main() {
+        int s = 0;
+        for (int i = 0; i < 200; i = i + 1) {
+            n = i - (i / 3) * 3;
+            T.drain();
+            s = s + n;
+        }
+        print(s);
+    }
+}
+`
+
+// TestCallIntoDuplicatedEntry: a call from compiled code into a compiled
+// method enters at the callee's entry point, with its op index and
+// covered weight, not at the start of the segment that holds it. The
+// compiled tier once ran the callee's loop body before its first test,
+// printing -62 in fewer steps.
+func TestCallIntoDuplicatedEntry(t *testing.T) {
+	bd, err := pipeline.Compile("loopentry", loopAtEntrySource, pipeline.Options{InlineLimit: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runTier(t, bd, vm.Config{Engine: vm.EngineSwitch})
+	if !reflect.DeepEqual(want.Output, []int64{0}) {
+		t.Fatalf("switch output = %v, want [0]", want.Output)
+	}
+	got := runTier(t, bd, vm.Config{Engine: vm.EngineCompiled, TierThreshold: 2})
+	if got.TierUps < 2 {
+		t.Fatalf("TierUps = %d, want main and drain compiled", got.TierUps)
+	}
+	assertSameRun(t, got, want, "compiled", "switch")
 }

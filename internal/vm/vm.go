@@ -54,7 +54,9 @@ const (
 	// back-edges) crosses Config.TierThreshold, are translated to
 	// closure-threaded compiled code — an array of per-segment
 	// continuations with branch targets resolved to segment indices,
-	// fused superinstructions preserved, and elided stores compiled to
+	// composed from the plain decoded instructions with the hot shapes
+	// (local/constant arithmetic and comparisons, stores from locals and
+	// constants) as flat leaf closures, and elided stores compiled to
 	// raw writes with no barrier-test residue. Scheduler-quantum and
 	// step-budget checks happen only at segment boundaries (loop
 	// back-edges, branches, calls); a segment that does not fit the
